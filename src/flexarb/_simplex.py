@@ -1,18 +1,25 @@
 """Bounded-variable revised simplex kernels.
 
-Two interchangeable implementations of the same algorithm live here:
+Two implementations of the same pivot rules live here:
 
-* ``simplex_numba`` -- loop-level kernel compiled with ``numba.njit``; this is
-  the hot path that makes 1000-day Monte Carlo runs affordable.
-* ``simplex_numpy`` -- vectorised pure-numpy fallback, used when numba is
-  unavailable or when ``FLEXARB_BACKEND=numpy`` is set.
+* ``simplex_numba`` -- loop-level kernel compiled with ``numba.njit``.  It
+  keeps the full m x m basis inverse and updates it by Gauss-Jordan pivots.
+* ``simplex_numpy`` -- pure numpy, used when numba is unavailable or when
+  ``FLEXARB_BACKEND=numpy`` is set.  It keeps only K = inv(A[T, S]), the
+  k x k block of the basis belonging to its k basic structural columns
+  (k <= min(m, n)); the slack and artificial columns of the other rows are
+  applied implicitly (see ``_ReducedBasis``).  Storage LPs have 2-3x more
+  rows than columns and k stays well below m, so a pivot costs
+  O(k^2 + m k) instead of O(m^2).
 
 Both solve  min c.x  s.t.  A x <= b,  lb <= x <= ub  after the caller has
 row-equilibrated A.  Slack and artificial variables are handled implicitly
-(unit columns), the basis inverse is kept explicitly and updated by
-Gauss-Jordan pivots, and entering variables are picked by Dantzig pricing
-with a switch to Bland's rule after a run of degenerate pivots so the
-iteration is finite and deterministic.
+(unit columns).  Entering variables are picked by Dantzig pricing with a
+switch to Bland's rule after a run of degenerate pivots, so the iteration
+is finite and deterministic; leaving ones by a two-pass Harris ratio test.
+The two kernels round differently, and only the numpy kernel recomputes
+its basic values from the final basis, so they agree on objectives, not
+bitwise on schedules.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 numerical failure.
 """
@@ -490,8 +497,160 @@ def simplex_numba(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
 
 
 # ---------------------------------------------------------------------------
-# numpy fallback: same algorithm, vectorised
+# numpy kernel: same pivot rules, reduced-basis representation
 # ---------------------------------------------------------------------------
+
+
+class _ReducedBasis:
+    """Basis inverse kept as the k x k block K = inv(A[T, S]).
+
+    S lists the k basic structural columns and T the k rows whose logical
+    is nonbasic.  Every other row i (the set R) has a basic logical with
+    column sigma_i e_i: +1 for a slack, -1 for an artificial.  With rows
+    ordered (T, R) and basic columns (S, R),
+
+        B^-1 = [[K, 0], [-D A_RS K, D]],   D = diag(sigma_R),
+
+    so FTRAN, BTRAN and each basis change cost O(k^2 + m k), not O(m^2).
+    Vectors in and out are in basis-position order, as with an explicit
+    inverse; the S and T orders inside K are private.  ``prow`` and
+    ``ppos`` link each logical's position and row.  Their entries for
+    structural positions and rows of T go stale: ``solve`` overwrites the
+    former, and ``btran`` multiplies the latter by sigma = 0.
+    """
+
+    def __init__(self, A, basic):
+        m, n = A.shape
+        cap = min(m, n)
+        self.At = np.ascontiguousarray(A.T)   # columns of A as rows
+        self.m = m
+        self.n = n
+        self.k = 0
+        self.K = np.empty((cap, cap))
+        self.SA = np.empty((cap, m))          # A[:, S].T, rows in S order
+        self.spos = np.empty(cap, np.int64)   # position of each S column
+        self.trow = np.empty(cap, np.int64)   # T rows, in K's column order
+        self.sidx = np.full(m, -1, np.int64)  # S index per position, or -1
+        self.tidx = np.full(m, -1, np.int64)  # T index per row, or -1
+        # the crash basis is all logicals, row i's at position i
+        self.prow = np.arange(m)              # row of a position's logical
+        self.ppos = np.arange(m)              # position of a row's logical
+        # sigma of each row's basic logical; 0 for a row of T
+        self.rsig = np.where(basic < n + m, 1.0, -1.0)
+
+    def solve(self, a):
+        """B^-1 a, in position order."""
+        k = self.k
+        wS = self.K[:k, :k] @ a[self.trow[:k]]
+        w = (self.rsig * (a - wS @ self.SA[:k]))[self.prow]
+        w[self.spos[:k]] = wS
+        return w
+
+    def ftran(self, q):
+        """B^-1 times the column of variable q: structural, or slack q - n."""
+        if q < self.n:
+            return self.solve(self.At[q])
+        a = np.zeros(self.m)
+        a[q - self.n] = 1.0
+        return self.solve(a)
+
+    def btran(self, cB):
+        """cB . B^-1 with cB in position order; the result is over rows."""
+        k = self.k
+        y = cB[self.ppos] * self.rsig
+        t = cB[self.spos[:k]]
+        if y.any():
+            t = t - self.SA[:k] @ y
+        y[self.trow[:k]] = t @ self.K[:k, :k]
+        return y
+
+    def logical_row(self, p):
+        """Row p of B^-1 for a position p that holds a logical."""
+        k = self.k
+        i = self.prow[p]
+        s = self.rsig[i]
+        beta = np.zeros(self.m)
+        beta[self.trow[:k]] = -s * (self.SA[:k, i] @ self.K[:k, :k])
+        beta[i] = s
+        return beta
+
+    def refactor(self):
+        """Rebuild K from A[T, S]; False if that block is singular."""
+        k = self.k
+        try:
+            self.K[:k, :k] = np.linalg.inv(self.SA[:k, self.trow[:k]].T)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def pivot(self, p, q, w):
+        """Variable q enters at position p, where w = ftran(q)."""
+        k = self.k
+        K = self.K[:k, :k]
+        wS = w[self.spos[:k]]
+        s = self.sidx[p]
+        if q < self.n:
+            if s >= 0:
+                # structural for structural: replace column s of A[T, S]
+                K[s] /= w[p]
+                wS[s] = 0.0
+                K -= np.outer(wS, K[s])
+                self.SA[s] = self.At[q]
+                return
+            # structural for the logical of row r: border A[T, S] with
+            # row r and column q; g is the Schur complement
+            r = self.prow[p]
+            g = self.rsig[r] * w[p]
+            z = (self.SA[:k, r] @ K) / g
+            K += np.outer(wS, z)
+            self.K[:k, k] = -wS / g
+            self.K[k, :k] = -z
+            self.K[k, k] = 1.0 / g
+            self.SA[k] = self.At[q]
+            self.spos[k] = p
+            self.sidx[p] = k
+            self.trow[k] = r
+            self.tidx[r] = k
+            self.rsig[r] = 0.0
+            self.k = k + 1
+            return
+        i = q - self.n
+        ti = self.tidx[i]
+        if ti >= 0 and s >= 0:
+            # slack of T row i for structural s: drop row i and column s
+            # from A[T, S], then move the last S and T entries into the gaps
+            K -= np.outer(K[:, ti] / w[p], K[s])
+            last = k - 1
+            K[s] = K[last]
+            K[:, ti] = K[:, last]
+            self.SA[s] = self.SA[last]
+            self.spos[s] = self.spos[last]
+            self.sidx[self.spos[s]] = s
+            self.trow[ti] = self.trow[last]
+            self.tidx[self.trow[ti]] = ti
+            self.sidx[p] = -1
+            self.tidx[i] = -1
+            self.k = last
+        elif ti >= 0:
+            # slack of T row i for the logical of row j: row i of A[T, S]
+            # becomes row j (Sherman-Morrison)
+            j = self.prow[p]
+            z = self.SA[:k, j] @ K
+            z[ti] -= 1.0
+            K -= np.outer(wS / (-self.rsig[j] * w[p]), z)
+            self.trow[ti] = j
+            self.tidx[j] = ti
+            self.tidx[i] = -1
+            self.rsig[j] = 0.0
+        # else the slack replaces the artificial of its own row
+        self.rsig[i] = 1.0
+        self.prow[p] = i
+        self.ppos[i] = p
+
+
+#: Pricing sign per variable state: the score, sign times reduced cost, is
+#: positive where moving off the bound lowers the cost.
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])  # basic, at lb, at ub, locked
 
 
 def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
@@ -514,7 +673,7 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
     r = b - A @ xval[:n]
     feas = r >= 0.0
     basic = np.where(feas, n + np.arange(m), n + m + np.arange(m))
-    Binv = np.diag(np.where(feas, 1.0, -1.0))
+    basis = _ReducedBasis(A, basic)
     xB = np.abs(r) * 1.0
     xB[feas] = r[feas]
     cost = np.zeros(n_tot)
@@ -525,6 +684,8 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
     if phase == 2:
         cost[:n] = c
 
+    # only artificials ever change bounds, and they never enter
+    movable = ((UB[:n + m] - LB[:n + m]) > 0.0).astype(float)
     iters = 0
     degen_run = 0
     bland = False
@@ -532,51 +693,28 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
 
     def recompute_xb():
         nb = vstat[:n] != _BASIC
-        rr = b - A[:, nb] @ xval[:n][nb]
-        return Binv @ rr
-
-    def refactorize():
-        B = np.zeros((m, m))
-        for p in range(m):
-            v = basic[p]
-            if v < n:
-                B[:, p] = A[:, v]
-            elif v < n + m:
-                B[v - n, p] = 1.0
-            else:
-                B[v - n - m, p] = -1.0
-        try:
-            return np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return None
+        return basis.solve(b - A[:, nb] @ xval[:n][nb])
 
     while True:
         if iters >= max_iter:
             status = NUMERICAL_FAILURE
             break
         if refactor_every > 0 and iters > 0 and iters % refactor_every == 0:
-            Bnew = refactorize()
-            if Bnew is None:
+            if not basis.refactor():
                 status = NUMERICAL_FAILURE
                 break
-            Binv = Bnew
             xB = recompute_xb()
         elif iters > 0 and iters % 512 == 0:
             xB = recompute_xb()
 
-        cB = cost[basic]
-        nzb = cB != 0.0
-        y = cB[nzb] @ Binv[nzb] if nzb.any() else np.zeros(m)
+        y = basis.btran(cost[basic])
 
-        d_struct = cost[:n] - y @ A
-        d_slack = -y
-        d = np.concatenate([d_struct, d_slack])
-        st = vstat[:n + m]
-        movable = (UB[:n + m] - LB[:n + m]) > 0.0
-        elig_up = (st == _AT_LB) & (d < -_TOL_D) & movable
-        elig_dn = (st == _AT_UB) & (d > _TOL_D) & movable
-        any_elig = elig_up | elig_dn
-        if not any_elig.any():
+        # reduced costs of structurals and slacks; a variable is eligible
+        # where its score, the reduced cost signed by its bound, is > _TOL_D
+        d = np.concatenate([cost[:n] - y @ A, -y])
+        score = d * _PRICE_SIGN[vstat[:n + m]] * movable
+        q = int(np.argmax(score))
+        if score[q] <= _TOL_D:
             if phase == 1:
                 art_basic = basic >= n + m
                 infeas = xB[art_basic][xB[art_basic] > 0].sum()
@@ -585,7 +723,7 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
                     status = INFEASIBLE
                     break
                 for p in np.nonzero(art_basic)[0]:
-                    beta = Binv[p]
+                    beta = basis.logical_row(p)
                     arow = np.concatenate([beta @ A, beta])
                     arow[vstat[:n + m] == _BASIC] = 0.0
                     arow[vstat[:n + m] == _LOCKED] = 0.0
@@ -593,17 +731,14 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
                     if abs(arow[pick]) <= _TOL_PIV:
                         UB[basic[p]] = 0.0
                         continue
-                    wcol = Binv @ A[:, pick] if pick < n else Binv[:, pick - n].copy()
+                    wcol = basis.ftran(pick)
                     art = basic[p]
                     vstat[art] = _LOCKED
                     UB[art] = 0.0
                     basic[p] = pick
                     vstat[pick] = _BASIC
                     xB[p] = xval[pick]
-                    Binv[p] /= wcol[p]
-                    f = wcol.copy()
-                    f[p] = 0.0
-                    Binv -= np.outer(f, Binv[p])
+                    basis.pivot(p, pick, wcol)
                 mask = vstat[n + m:] != _BASIC
                 vstat[n + m:][mask] = _LOCKED
                 UB[n + m:][mask] = 0.0
@@ -614,29 +749,28 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
                 degen_run = 0
                 iters += 1
                 continue
+            # report the basic values of the final basis, not the updated
+            # ones, which carry the roundoff of steps as long as 1e9-scale
+            # bound flips
+            xB = recompute_xb()
             status = OPTIMAL
             break
 
         if bland:
-            q = int(np.argmax(any_elig))
-            best_dir = 1 if elig_up[q] else -1
-        else:
-            score = np.where(any_elig, np.abs(d), 0.0)
-            q = int(np.argmax(score))
-            best_dir = 1 if elig_up[q] else -1
+            q = int(np.argmax(score > _TOL_D))
+        best_dir = 1 if vstat[q] == _AT_LB else -1
 
-        w = Binv @ A[:, q] if q < n else Binv[:, q - n].copy()
+        w = basis.ftran(q)
 
         alpha = best_dir * w
         lo = LB[basic]
         hi = UB[basic]
         up = alpha > _EPS_A
-        dn = alpha < -_EPS_A
+        moves = up | (alpha < -_EPS_A)
         gap_lo = xB - lo
         gap_hi = xB - hi
-        ti_rel = np.full(m, np.inf)
-        ti_rel[up] = (gap_lo[up] + _RELAX) / alpha[up]
-        ti_rel[dn] = (gap_hi[dn] - _RELAX) / alpha[dn]
+        ti_rel = np.divide(np.where(up, gap_lo + _RELAX, gap_hi - _RELAX),
+                           alpha, out=np.full(m, np.inf), where=moves)
         np.maximum(ti_rel, 0.0, out=ti_rel)
         t_rel = ti_rel.min() if m else np.inf
         t_flip = UB[q] - LB[q]
@@ -659,9 +793,8 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
                 bland = False
             continue
 
-        ti = np.full(m, np.inf)
-        ti[up] = gap_lo[up] / alpha[up]
-        ti[dn] = gap_hi[dn] / alpha[dn]
+        ti = np.divide(np.where(up, gap_lo, gap_hi), alpha,
+                       out=np.full(m, np.inf), where=moves)
         np.maximum(ti, 0.0, out=ti)
         idx = np.nonzero(ti <= t_rel)[0]
         if idx.size == 0:
@@ -694,10 +827,7 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
         vstat[q] = _BASIC
         xB[rpos] = enter_val
 
-        Binv[rpos] /= w[rpos]
-        f = w.copy()
-        f[rpos] = 0.0
-        Binv -= np.outer(f, Binv[rpos])
+        basis.pivot(rpos, q, w)
 
         iters += 1
         if t_star <= _DEGEN_EPS:

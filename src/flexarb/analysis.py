@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import SolveStatus, solve_lp
+from .lp import LpSolution, SolveStatus, solve_lp
 from .pricing import PriceSignal, synthetic_day
 from .storage import (StorageParams, StorageSchedule, build_storage_lp,
                       extract_storage_schedule)
@@ -52,7 +52,8 @@ class SweepResult:
     """One ramp-rate sweep: per-fraction objective and derived metrics.
 
     marginal_gain_pct and gain_per_cycle are NaN where their denominator
-    (fraction-1.0 gain, cycle count) vanishes.
+    (fraction-1.0 gain, cycle count) vanishes.  ``solution`` is the solve
+    at the last (largest) fraction, so its schedule needs no second solve.
     """
 
     fractions: np.ndarray
@@ -60,6 +61,7 @@ class SweepResult:
     marginal_gain_pct: np.ndarray
     cycles: np.ndarray
     gain_per_cycle: np.ndarray
+    solution: LpSolution = None
 
     def __post_init__(self):
         for name in ("fractions", "objective", "marginal_gain_pct",
@@ -99,6 +101,7 @@ def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
         cycles[k] = equivalent_full_cycles(sched, p_k)
         if phi == 1.0:
             gain_ref = -sol.objective
+    sol_top = sol
     if gain_ref is None:
         p_1 = params.with_ramp_rate_fraction(1.0, h)
         sol = solve_lp(build_storage_lp(p_1, prices), backend=backend)
@@ -115,7 +118,7 @@ def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
         marginal = np.full(fr.size, np.nan)
     gpc = np.where(cycles > 1e-9, gain / np.where(cycles > 1e-9, cycles, 1.0),
                    np.nan)
-    return SweepResult(fr, objective, marginal, cycles, gpc)
+    return SweepResult(fr, objective, marginal, cycles, gpc, sol_top)
 
 
 def xc_yc_sweep(params: StorageParams, prices: PriceSignal, c_rates,

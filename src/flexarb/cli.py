@@ -470,7 +470,7 @@ def _cmd_sweep(args, cfg, run) -> int:
         raise CliError(EXIT_SOLVER, "solver", str(exc)) from exc
     top = params.with_ramp_rate_fraction(float(result.fractions[-1]),
                                          prices.h)
-    solution = _solve_or_die(build_storage_lp(top, prices), run["backend"])
+    solution = result.solution
     schedule = extract_storage_schedule(solution, top, prices)
     wall = time.perf_counter() - t0
     if run["format"] in ("csv", "both"):

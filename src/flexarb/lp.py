@@ -235,11 +235,14 @@ def solve_lp(problem: LpProblem, backend: str = None,
         raise LpValidationError(diags)
     if backend is None:
         backend = _simplex._env_backend()
+        hint = "set FLEXARB_BACKEND=numpy"
+    else:
+        hint = "pass backend=\"numpy\" (CLI: --backend numpy)"
     if backend not in ("numba", "numpy"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "numba" and not _simplex._HAVE_NUMBA:
         raise RuntimeError("numba backend requested but numba is not "
-                           "importable; set FLEXARB_BACKEND=numpy")
+                           f"importable; {hint}")
 
     t0 = time.perf_counter()
     f = problem.f
@@ -267,8 +270,7 @@ def solve_lp(problem: LpProblem, backend: str = None,
         return LpSolution(x, obj, status, stats)
 
     # row equilibration: scale every row of [A | b] so max |A_ij| is one
-    scale = np.abs(A).max(axis=1)
-    scale[scale == 0.0] = 1.0
+    scale = _row_scale(A)
     As = A / scale[:, None]
     bs = b / scale
     lbt, ubt = _tighten_bounds(A, b, lb, ub)
@@ -276,10 +278,13 @@ def solve_lp(problem: LpProblem, backend: str = None,
     iters = 0
     code = _simplex.NUMERICAL_FAILURE
     x = np.zeros(n)
-    colp, rowi, vals = _csc_arrays(As)
+    if backend == "numba":
+        run = _simplex.simplex_numba
+        colp, rowi, vals = _csc_arrays(As)
+    else:
+        run = _simplex.simplex_numpy
+        colp = rowi = vals = None  # the numpy kernel reads only As
     args = (As, colp, rowi, vals, bs, f.astype(float), lbt, ubt)
-    run = (_simplex.simplex_numba if backend == "numba"
-           else _simplex.simplex_numpy)
 
     for refactor_every in (0, 96):
         code, x, it = run(*args, FEASIBILITY_TOL * 0.1, max_iter,
@@ -287,7 +292,7 @@ def solve_lp(problem: LpProblem, backend: str = None,
         iters += int(it)
         if code != _simplex.OPTIMAL:
             break
-        resid = _max_violation(problem, x)
+        resid = _max_violation(problem, x, scale)
         if resid <= FEASIBILITY_TOL * max(1.0, np.abs(b).max()):
             break
         code = _simplex.NUMERICAL_FAILURE  # retry with periodic refactoring
@@ -295,7 +300,6 @@ def solve_lp(problem: LpProblem, backend: str = None,
     status = _STATUS_FROM_CODE[code]
     if status is SolveStatus.OPTIMAL:
         obj = float(f @ x)
-        resid = _max_violation(problem, x)
     else:
         x = np.full(n, np.nan)
         obj = float("nan")
@@ -304,10 +308,16 @@ def solve_lp(problem: LpProblem, backend: str = None,
     return LpSolution(x, obj, status, stats)
 
 
-def _max_violation(problem: LpProblem, x: np.ndarray) -> float:
-    """Largest constraint or bound violation of x, in original row scaling."""
-    scale = np.abs(problem.A).max(axis=1)
+def _row_scale(A: np.ndarray) -> np.ndarray:
+    """Largest |A_ij| of each row, with 1 for an all-zero row."""
+    scale = np.abs(A).max(axis=1)
     scale[scale == 0.0] = 1.0
+    return scale
+
+
+def _max_violation(problem: LpProblem, x: np.ndarray,
+                   scale: np.ndarray) -> float:
+    """Largest constraint or bound violation of x, rows divided by scale."""
     r = (problem.A @ x - problem.b) / scale
     worst = max(0.0, r.max()) if r.size else 0.0
     worst = max(worst, float((problem.lb - x).max(initial=0.0)))
@@ -318,9 +328,7 @@ def _max_violation(problem: LpProblem, x: np.ndarray) -> float:
 def constraint_report(problem: LpProblem, x: np.ndarray,
                       tol: float = FEASIBILITY_TOL) -> list:
     """Rows violated by x beyond tol, as (index, label, violation) tuples."""
-    scale = np.abs(problem.A).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    r = (problem.A @ x - problem.b) / scale
+    r = (problem.A @ x - problem.b) / _row_scale(problem.A)
     out = []
     for i in np.nonzero(r > tol)[0]:
         label = (problem.row_labels[i] if problem.row_labels is not None

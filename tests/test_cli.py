@@ -90,6 +90,26 @@ def test_sweep_artifacts_and_reference_row(tmp_path):
     assert (run_dir / "schedule.csv").is_file()  # top-fraction schedule
 
 
+def test_sweep_solves_each_fraction_once(tmp_path, monkeypatch):
+    # the top-fraction schedule comes from the sweep's own last solve
+    calls = []
+    solve = cli.solve_lp
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    for module in ("flexarb.cli", "flexarb.analysis"):
+        monkeypatch.setattr(f"{module}.solve_lp", counting_solve)
+    rc = cli.main(["sweep", "--fractions", "0.5,1.0", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 2
+    summary = _summary(tmp_path / "sweep")
+    rows = _read_csv(tmp_path / "sweep" / "schedule.csv")
+    cost = sum(float(r["cost"]) for r in rows)
+    assert cost == pytest.approx(summary["objective"], abs=1e-6)
+
+
 def test_format_flag_selects_artifacts(tmp_path):
     assert cli.main(["storage", "--format", "csv",
                      "--out", str(tmp_path / "a")]) == 0
@@ -220,6 +240,17 @@ def test_missing_numba_backend_exits_3(tmp_path, capsys, monkeypatch, mode):
     err = _stderr_error(capsys)
     assert err["kind"] == "solver"
     assert "numba" in err["message"]
+    # the flag overrides FLEXARB_BACKEND, so the hint must name the flag
+    assert "--backend numpy" in err["message"]
+    assert "FLEXARB_BACKEND" not in err["message"]
+
+
+def test_missing_numba_from_environment_hints_variable(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr("flexarb._simplex._HAVE_NUMBA", False)
+    monkeypatch.setenv("FLEXARB_BACKEND", "numba")
+    assert cli.main(["storage", "--out", str(tmp_path)]) == 3
+    assert "set FLEXARB_BACKEND=numpy" in _stderr_error(capsys)["message"]
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):
