@@ -1,6 +1,6 @@
 """Bounded-variable revised simplex kernels.
 
-Two implementations of the same pivot rules live here:
+Two implementations of the same simplex method live here:
 
 * ``simplex_numba`` -- loop-level kernel compiled with ``numba.njit``.  It
   keeps the full m x m basis inverse and updates it by Gauss-Jordan pivots.
@@ -17,9 +17,19 @@ row-equilibrated A.  Slack and artificial variables are handled implicitly
 (unit columns).  Entering variables are picked by Dantzig pricing with a
 switch to Bland's rule after a run of degenerate pivots, so the iteration
 is finite and deterministic; leaving ones by a two-pass Harris ratio test.
-The two kernels round differently, and only the numpy kernel recomputes
-its basic values from the final basis, so they agree on objectives, not
-bitwise on schedules.
+
+The kernels start differently.  The numba kernel rests every column on
+the bound its column sum points to and gives every violated row an
+artificial.  The numpy kernel starts from an elastic-column crash basis
+(``_crash``): columns that only relax their rows as they grow toward a
+huge bound, such as the epigraph columns t_i of the storage and flex LPs,
+start basic in their binding rows, and the other columns rest on the
+bounds that leave the fewest violations.  Storage LPs without ramp rows
+then start primal-feasible and flex LPs miss at most their deadline rows,
+so phase 1 is short or absent.  The numpy kernel also rests free columns
+at zero, relaxes bounds in its ratio test by 1e-9 rather than 1e-7, and
+refactors and recomputes its basic values at the optimum.  The kernels
+therefore agree on objectives, not bitwise on schedules.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 numerical failure.
 """
@@ -44,11 +54,13 @@ _LOCKED = 3  # artificial that is out of play
 _TOL_D = 1e-9       # reduced-cost optimality tolerance
 _TOL_PIV = 1e-7     # pivot magnitude below which we try to avoid pivoting
 _EPS_A = 1e-10      # column entries below this are treated as exact zeros
-_RELAX = 1e-7       # Harris ratio-test bound relaxation per row
+_RELAX = 1e-7       # Harris ratio-test bound relaxation per row (numba)
+_RELAX_NUMPY = 1e-9  # the same in the numpy kernel, see simplex_numpy
 _TINY_PIV = 1e-11   # hard floor: pivoting on less than this is failure
 _DEGEN_EPS = 1e-12  # step sizes below this count as degenerate
 _BLAND_AFTER = 50   # consecutive degenerate pivots before Bland's rule
 _HUGE_BND = 1e8     # crash avoids resting variables beyond this magnitude
+_CRASH_TOL = 1e-12  # crash: rows violated by less than this need no artificial
 
 
 def _env_backend() -> str:
@@ -520,23 +532,36 @@ class _ReducedBasis:
     """
 
     def __init__(self, A, basic):
+        """Position i of ``basic`` holds row i's logical or a structural
+        column whose row of T is i; A[T, S] must then be diagonal, as the
+        crash leaves it."""
         m, n = A.shape
         cap = min(m, n)
         self.At = np.ascontiguousarray(A.T)   # columns of A as rows
         self.m = m
         self.n = n
-        self.k = 0
-        self.K = np.empty((cap, cap))
+        self.K = np.zeros((cap, cap))
         self.SA = np.empty((cap, m))          # A[:, S].T, rows in S order
         self.spos = np.empty(cap, np.int64)   # position of each S column
         self.trow = np.empty(cap, np.int64)   # T rows, in K's column order
         self.sidx = np.full(m, -1, np.int64)  # S index per position, or -1
         self.tidx = np.full(m, -1, np.int64)  # T index per row, or -1
-        # the crash basis is all logicals, row i's at position i
+        # logicals start in their own row's position
         self.prow = np.arange(m)              # row of a position's logical
         self.ppos = np.arange(m)              # position of a row's logical
         # sigma of each row's basic logical; 0 for a row of T
         self.rsig = np.where(basic < n + m, 1.0, -1.0)
+        rows = np.flatnonzero(basic < n)
+        k = self.k = rows.size
+        cols = basic[rows]
+        ks = np.arange(k)
+        self.K[ks, ks] = 1.0 / A[rows, cols]
+        self.SA[:k] = self.At[cols]
+        self.spos[:k] = rows
+        self.trow[:k] = rows
+        self.sidx[rows] = ks
+        self.tidx[rows] = ks
+        self.rsig[rows] = 0.0
 
     def solve(self, a):
         """B^-1 a, in position order."""
@@ -648,9 +673,119 @@ class _ReducedBasis:
         self.ppos[i] = p
 
 
+_FREE = 4  # free structural resting at zero, off any bound
+
 #: Pricing sign per variable state: the score, sign times reduced cost, is
-#: positive where moving off the bound lowers the cost.
-_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])  # basic, at lb, at ub, locked
+#: positive where moving off the bound lowers the cost.  A free column's
+#: score is |d| and is set apart.
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0, 0.0])
+
+
+def _crash(A, b, lb, ub):
+    """Elastic-column crash basis of  A x <= b,  lb <= x <= ub.
+
+    1. A column is elastic when exactly one of its bounds lies beyond
+       ``_HUGE_BND`` and each of its nonzeros relaxes its row as the column
+       moves toward that bound, such as the epigraph columns of the storage
+       and flex LPs.  Elastic columns rest at their finite bound.
+    2. Every other column starts at clip(0, lb, ub) and then, in column
+       order, moves to the finite bound that leaves the smaller total
+       violation over the rows no elastic column touches (the upper one
+       on a tie).  A column with only one finite bound rests there; one
+       with both bounds huge rests at the bound its column sum points to,
+       and one with both infinite is free at zero.
+    3. Each elastic column becomes basic in its binding row, the row that
+       needs the largest move toward its huge bound, unless the move is
+       negative, would take the column beyond ``_HUGE_BND`` (past its far
+       bound), or another elastic column shares one of its rows.  The
+       claimed rows form T and A[T, S] is diagonal.
+    4. Every other row gets its slack, or an artificial if it is still
+       violated.
+
+    Returns (vstat, xval, basic, xB): states and values over structurals,
+    slacks and artificials, and the basic variable and value at each
+    position, where row i's logical or the column that claimed row i sits.
+    """
+    m, n = A.shape
+    n_tot = n + 2 * m
+    lo_ok = np.abs(lb) <= _HUGE_BND
+    hi_ok = np.abs(ub) <= _HUGE_BND
+    amax = A.max(axis=0, initial=0.0)
+    amin = A.min(axis=0, initial=0.0)
+    E = np.flatnonzero((lo_ok & ~hi_ok & (amax <= 0.0) & (amin < 0.0))
+                       | (hi_ok & ~lo_ok & (amin >= 0.0) & (amax > 0.0)))
+    toward = np.where(hi_ok[E], -1.0, 1.0)  # each one's way to its huge bound
+
+    # step 2: starting values, then the greedy pass over two-bound columns
+    x = np.where(lo_ok, lb, np.where(hi_ok, ub, 0.0))
+    x[lo_ok & hi_ok] = np.clip(0.0, lb, ub)[lo_ok & hi_ok]
+    huge = ~lo_ok & ~hi_ok
+    free = huge & np.isinf(lb) & np.isinf(ub)
+    if huge.any():
+        # the column sum picks the bound, but never an infinite one
+        to_lb = (((A[:, huge].sum(axis=0) >= 0.0) | np.isinf(ub[huge]))
+                 & ~np.isinf(lb[huge]))
+        x[huge] = np.where(to_lb, lb[huge], ub[huge])
+        x[free] = 0.0
+
+    AEt = A.T[E]
+    nzE = AEt != 0.0
+    touch = nzE.sum(axis=0)  # elastic columns per row
+    open_rows = touch == 0
+
+    G = np.flatnonzero(lo_ok & hi_ok & (lb < ub))
+    AUt = A.T[G][:, open_rows]
+    live = np.flatnonzero(AUt.any(axis=1))
+    to_hi = np.ones(G.size, bool)
+    if live.size:
+        s = A[open_rows] @ x - b[open_rows]
+        # the two candidate moves of each column, as changes of s
+        step = np.stack([lb[G] - x[G], ub[G] - x[G]], axis=1)[live]
+        moves = step[:, :, None] * AUt[live][:, None, :]
+        ones = np.ones(s.size)
+        buf = np.empty((2, s.size))
+        picks = []
+        for mk in moves:
+            cand = s + mk
+            lo_viol, hi_viol = (np.maximum(cand, 0.0, out=buf) @ ones).tolist()
+            up = hi_viol <= lo_viol
+            picks.append(up)
+            s = cand[1] if up else cand[0]
+        to_hi[live] = picks
+    x[G] = np.where(to_hi, ub[G], lb[G])
+
+    # step 3: the binding row of each elastic column needs the largest
+    # move, r_i / (a_ij * toward)
+    r = b - A @ x
+    need = np.divide(r, AEt * toward[:, None],
+                     out=np.full(AEt.shape, -np.inf), where=nzE)
+    T = need.argmax(axis=1) if m else np.zeros(0, np.int64)  # E is empty
+    move = need[np.arange(E.size), T]
+    value = x[E] + toward * move
+    shared = (nzE & (touch > 1)).any(axis=1)
+    ok = (move >= 0.0) & (np.abs(value) <= _HUGE_BND) & ~shared
+    S, T = E[ok], T[ok]
+    x[S] = value[ok]
+    r = b - A @ x
+
+    # step 4: logicals for the other rows
+    vstat = np.empty(n_tot, np.int64)
+    xval = np.zeros(n_tot)
+    vstat[:n] = np.where(x == lb, _AT_LB, _AT_UB)
+    vstat[:n][free] = _FREE
+    xval[:n] = x
+    vstat[S] = _BASIC
+    feas = r >= -_CRASH_TOL
+    feas[T] = True
+    slack = n + np.arange(m)
+    basic = np.where(feas, slack, slack + m)
+    basic[T] = S
+    xB = np.where(feas, r, -r)
+    xB[T] = x[S]
+    vstat[n:n + m] = np.where(feas, _BASIC, _AT_LB)
+    vstat[n + m:] = np.where(feas, _LOCKED, _BASIC)
+    vstat[n + T] = _AT_LB
+    return vstat, xval, basic, xB
 
 
 def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
@@ -660,32 +795,20 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
     LB = np.concatenate([lb, np.zeros(m), np.zeros(m)])
     UB = np.concatenate([ub, np.full(m, np.inf), np.full(m, np.inf)])
 
-    vstat = np.empty(n_tot, np.int64)
-    xval = np.zeros(n_tot)
-    colsum = A.sum(axis=0)
-    at_lb = colsum >= 0.0
-    lb_huge = np.abs(lb) > _HUGE_BND
-    ub_huge = np.abs(ub) > _HUGE_BND
-    at_lb = (at_lb & ~(lb_huge & ~ub_huge)) | (~at_lb & ub_huge & ~lb_huge)
-    vstat[:n] = np.where(at_lb, _AT_LB, _AT_UB)
-    xval[:n] = np.where(at_lb, lb, ub)
-
-    r = b - A @ xval[:n]
-    feas = r >= 0.0
-    basic = np.where(feas, n + np.arange(m), n + m + np.arange(m))
+    vstat, xval, basic, xB = _crash(A, b, lb, ub)
     basis = _ReducedBasis(A, basic)
-    xB = np.abs(r) * 1.0
-    xB[feas] = r[feas]
     cost = np.zeros(n_tot)
-    vstat[n:n + m] = np.where(feas, _BASIC, _AT_LB)
-    vstat[n + m:] = np.where(feas, _LOCKED, _BASIC)
-    cost[n + m:][~feas] = 1.0
-    phase = 1 if (~feas).any() else 2
+    arts = basic >= n + m
+    cost[basic[arts]] = 1.0
+    phase = 1 if arts.any() else 2
     if phase == 2:
         cost[:n] = c
 
     # only artificials ever change bounds, and they never enter
     movable = ((UB[:n + m] - LB[:n + m]) > 0.0).astype(float)
+    # a free column leaves zero in the direction that lowers the cost and,
+    # with both bounds infinite, never leaves the basis again
+    has_free = bool((vstat[:n] == _FREE).any())
     iters = 0
     degen_run = 0
     bland = False
@@ -713,6 +836,9 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
         # where its score, the reduced cost signed by its bound, is > _TOL_D
         d = np.concatenate([cost[:n] - y @ A, -y])
         score = d * _PRICE_SIGN[vstat[:n + m]] * movable
+        if has_free:
+            nbf = np.flatnonzero(vstat[:n] == _FREE)
+            score[nbf] = np.abs(d[nbf])
         q = int(np.argmax(score))
         if score[q] <= _TOL_D:
             if phase == 1:
@@ -749,9 +875,13 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
                 degen_run = 0
                 iters += 1
                 continue
-            # report the basic values of the final basis, not the updated
-            # ones, which carry the roundoff of steps as long as 1e9-scale
-            # bound flips
+            # report the basic values of a freshly factored final basis, not
+            # the updated ones, which carry the roundoff of steps as long as
+            # 1e9-scale bound flips and of every update of K since the last
+            # refactor
+            if not basis.refactor():
+                status = NUMERICAL_FAILURE
+                break
             xB = recompute_xb()
             status = OPTIMAL
             break
@@ -759,6 +889,8 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
         if bland:
             q = int(np.argmax(score > _TOL_D))
         best_dir = 1 if vstat[q] == _AT_LB else -1
+        if vstat[q] == _FREE and d[q] < 0.0:
+            best_dir = 1
 
         w = basis.ftran(q)
 
@@ -769,7 +901,11 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
         moves = up | (alpha < -_EPS_A)
         gap_lo = xB - lo
         gap_hi = xB - hi
-        ti_rel = np.divide(np.where(up, gap_lo + _RELAX, gap_hi - _RELAX),
+        # Harris pass 1 against bounds relaxed by _RELAX_NUMPY.  Each row
+        # may end that far violated; with 1e-7 the epigraph rows of a day
+        # with zero sell prices all did, and the objective moved by ~1e-5
+        ti_rel = np.divide(np.where(up, gap_lo + _RELAX_NUMPY,
+                                    gap_hi - _RELAX_NUMPY),
                            alpha, out=np.full(m, np.inf), where=moves)
         np.maximum(ti_rel, 0.0, out=ti_rel)
         t_rel = ti_rel.min() if m else np.inf

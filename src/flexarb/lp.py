@@ -179,33 +179,51 @@ def _tighten_bounds(A, b, lb, ub):
     Applying that interval to bounds beyond ``_IMPLIED_GATE`` keeps the
     simplex arithmetic at problem scale instead of 1e9 scale; the feasible
     set is unchanged because implied bounds hold at every feasible point.
+
+    Only the gated columns and the rows they touch are read.  Each row's
+    minimum is summed over its full length in column order, so a row with
+    several 1e9-scale terms rounds the same way whichever columns are gated.
     """
     lo = lb.copy()
     hi = ub.copy()
     need_lo = np.abs(lo) > _IMPLIED_GATE
     need_hi = np.abs(hi) > _IMPLIED_GATE
-    if not (need_lo.any() or need_hi.any()):
+    gated = np.flatnonzero(need_lo | need_hi)
+    if not gated.size:
         return lo, hi
+    Ag = A.T[gated]
+    rows = np.flatnonzero(Ag.any(axis=0))
+    Ag = Ag[:, rows]          # gated columns x the rows they touch
+    Ar = A[rows]
+    lo_inf = np.isinf(lo)
+    hi_inf = np.isinf(hi)
+    # minimum of each row over the box: its finite terms and its -inf count
+    terms = np.maximum(Ar, 0.0)
+    terms *= np.where(lo_inf, 0.0, lo)
+    terms += np.minimum(Ar, 0.0) * np.where(hi_inf, 0.0, hi)
+    rowfin = terms.sum(axis=1)
+    ninf = (np.count_nonzero(Ar[:, lo_inf] > 0.0, axis=1)
+            + np.count_nonzero(Ar[:, hi_inf] < 0.0, axis=1))
+    up = Ag > 0.0
+    down = Ag < 0.0
     with np.errstate(invalid="ignore"):
-        cmin = (np.where(A > 0.0, A * lo[None, :], 0.0)
-                + np.where(A < 0.0, A * hi[None, :], 0.0))
-    neg_inf = np.isneginf(cmin)
-    ninf = neg_inf.sum(axis=1)
-    rowfin = np.where(neg_inf, 0.0, cmin).sum(axis=1)
+        cmin = np.where(up, Ag * lo[gated, None],
+                        np.where(down, Ag * hi[gated, None], 0.0))
     # minimum of the row's other terms; -inf when it is not determined
-    resid = np.where(neg_inf,
-                     np.where(ninf[:, None] == 1, rowfin[:, None], -np.inf),
-                     np.where(ninf[:, None] == 0,
-                              rowfin[:, None] - cmin, -np.inf))
+    resid = np.where(np.isneginf(cmin),
+                     np.where(ninf == 1, rowfin, -np.inf),
+                     np.where(ninf == 0, rowfin - cmin, -np.inf))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand = (b[:, None] - resid) / A
-    ub_cand = np.where(A > 0.0, cand, np.inf).min(axis=0)
-    lb_cand = np.where(A < 0.0, cand, -np.inf).max(axis=0)
+        cand = (b[rows] - resid) / Ag
+    ub_cand = np.where(up, cand, np.inf).min(axis=1, initial=np.inf)
+    lb_cand = np.where(down, cand, -np.inf).max(axis=1, initial=-np.inf)
     margin = 1e-7
     ub_new = ub_cand + margin * (1.0 + np.abs(ub_cand))
     lb_new = lb_cand - margin * (1.0 + np.abs(lb_cand))
-    hi = np.where(need_hi & (ub_new < hi), ub_new, hi)
-    lo = np.where(need_lo & (lb_new > lo), lb_new, lo)
+    hi[gated] = np.where(need_hi[gated] & (ub_new < hi[gated]), ub_new,
+                         hi[gated])
+    lo[gated] = np.where(need_lo[gated] & (lb_new > lo[gated]), lb_new,
+                         lo[gated])
     # crossed bounds mean the LP is infeasible; keep the box nonempty and
     # let phase 1 report it through the untouched rows
     hi = np.where(hi < lo, lo, hi)

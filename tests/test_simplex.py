@@ -7,16 +7,20 @@ statuses must agree and objectives must match to
 
 The reduced-basis inverse is also checked directly: after every pivot of
 a random walk through all kinds of basis change, ``solve`` and ``btran``
-must invert the explicit basis matrix.
+must invert the explicit basis matrix.  So is the crash basis: its start
+must satisfy its own rows, and storage and flex LPs must need almost no
+artificials.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flexarb import _simplex
+from flexarb import _simplex, lp
 from flexarb.flexibility import FlexParams, build_flex_lp
 from flexarb.lp import BIG_BOUND, LpProblem, SolveStatus, solve_lp
-from flexarb.pricing import synthetic_day
+from flexarb.pricing import PriceShape, synthetic_day
 from flexarb.storage import StorageParams, build_storage_lp
 
 RTOL = 1e-6
@@ -246,3 +250,194 @@ def test_reduced_basis_inverts_the_basis(shape):
     assert {(True, True, False), (True, False, False),
             (False, True, False), (False, False, False),
             (False, False, True)} <= kinds
+
+
+@pytest.mark.parametrize("seed, k", [(44, 13), (103, 145)])
+def test_crash_keeps_elastic_columns_inside_their_far_bound(seed, k, highs):
+    # Neighbours resting at 1e9 sentinels give an elastic column a binding
+    # move of ~1e9 here; taking it would carry the column past its own far
+    # bound, and the kernel would return an infeasible point.
+    case = list(random_lps(count=k + 1, seed=seed))[-1:]
+    assert _mismatches(case, highs) == []
+
+
+def test_final_basis_is_refactored_before_the_last_recompute(highs):
+    # 80 iterations of updates to K left this LP 1.68e-6 infeasible against
+    # a tolerance of 1.28e-6, and the retry (a refactor every 96
+    # iterations) never refactored.
+    case = list(random_lps(count=85, seed=42))[-1:]
+    assert case[0][1].A.shape == (26, 25)
+    assert _mismatches(case, highs) == []
+
+
+#: Two free columns: min x + y s.t. -x - y <= 1, x - y <= 3 has optimum -1.
+FREE = dict(lb=[-np.inf, -np.inf], ub=[np.inf, np.inf])
+FREE_ROWS = dict(A=[[-1.0, -1.0], [1.0, -1.0]], b=[1.0, 3.0], **FREE)
+
+
+def test_free_columns_rest_at_zero(highs):
+    # Resting a free column on an infinite bound turned the residuals into
+    # NaN.
+    cases = [("min x + y", LpProblem(f=[1.0, 1.0], **FREE_ROWS)),
+             ("unbounded", LpProblem(f=[1.0, -1.0], **FREE_ROWS)),
+             ("infeasible", LpProblem(f=[0.0, 0.0],
+                                      A=[[1.0, 1.0], [-1.0, -1.0]],
+                                      b=[-1.0, -2.0], **FREE))]
+    assert _mismatches(cases, highs) == []
+    sol = solve_lp(cases[0][1], backend="numpy")
+    assert sol.objective == pytest.approx(-1.0, abs=1e-12)
+
+
+def _negated_prices(problem, n):
+    """The storage LP with the price coefficients of x negated."""
+    A = problem.A.copy()
+    A[:2 * n, :n] *= -1.0
+    return LpProblem(problem.f, A, problem.b, problem.lb, problem.ub)
+
+
+def storage_edge_lps():
+    """Storage LPs at the edges the crash has to handle."""
+    n = 96
+    day = synthetic_day(5, n, 0.25)
+    mid = 0.5 * (BATTERY.b_min + BATTERY.b_max)
+    for ramp in (False, True):
+        for b_0 in (BATTERY.b_min, mid, BATTERY.b_max):
+            params = replace(BATTERY, b_0=b_0)
+            if ramp:
+                params = params.with_ramp_rate_fraction(0.3, 0.25)
+            yield (f"b_0={b_0} ramp={ramp}",
+                   build_storage_lp(params, day, include_ramp_rate=ramp))
+    free_sell = synthetic_day(6, n, 0.25, shape=PriceShape(kappa=0.0))
+    yield "kappa=0", build_storage_lp(BATTERY, free_sell,
+                                      include_ramp_rate=False)
+    yield "negative prices", _negated_prices(
+        build_storage_lp(BATTERY, day, include_ramp_rate=False), n)
+    # lossless with sell = buy: both segment rows of a step bind together
+    lossless = replace(BATTERY, b_0=mid, eta_ch=1.0, eta_dis=1.0)
+    yield "equal slopes", build_storage_lp(lossless, day,
+                                           include_ramp_rate=False)
+    yield "equal slopes, ramp", build_storage_lp(
+        lossless.with_ramp_rate_fraction(0.5, 0.25), day)
+
+
+def test_storage_edge_lps_match_highs(highs):
+    assert _mismatches(storage_edge_lps(), highs) == []
+
+
+def _kernel_input(problem):
+    """The scaled, tightened LP that solve_lp hands the kernel."""
+    scale = lp._row_scale(problem.A)
+    lo, hi = lp._tighten_bounds(problem.A, problem.b, problem.lb,
+                                problem.ub)
+    return problem.A / scale[:, None], problem.b / scale, lo, hi
+
+
+def _crash_lps():
+    gen = synthetic_day(3, 96, 0.25)
+    yield "mc", build_storage_lp(BATTERY, gen, include_ramp_rate=False)
+    yield from storage_edge_lps()
+    yield from storage_lps(count=6, seed=31)
+    yield from flex_lps(count=6, seed=32)
+    yield from random_lps(count=24, seed=33)
+    yield "free", LpProblem(f=[1.0, 1.0], **FREE_ROWS)
+    # two epigraph columns share the last row, which binds both of them
+    yield "shared row", LpProblem(
+        f=[0.0, 1.0, 1.0],
+        A=[[1.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]],
+        b=[0.0, 0.0, -3.0], lb=[-1.0, -BIG_BOUND, -BIG_BOUND],
+        ub=[1.0, BIG_BOUND, BIG_BOUND])
+
+
+@pytest.mark.parametrize("label, problem", list(_crash_lps()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_crash_start_is_consistent(label, problem):
+    A, b, lo, hi = _kernel_input(problem)
+    m, n = A.shape
+    vstat, xval, basic, xB = _simplex._crash(A, b, lo, hi)
+    struct = basic < n
+    x = xval[:n].copy()
+    x[basic[struct]] = xB[struct]
+    # B xB + N xN = b, up to the roundoff of each row's terms
+    B = _explicit_basis(A, basic)
+    xN = np.where(vstat[:n] == _simplex._BASIC, 0.0, x)
+    size = np.abs(B) @ np.abs(xB) + np.abs(A) @ np.abs(xN) + np.abs(b)
+    assert (np.abs(B @ xB + A @ xN - b) <= 1e-13 * (1.0 + size)).all()
+    # nonbasic columns sit on a bound (free ones at zero), basic ones
+    # within their bounds, and every row without an artificial holds
+    nb = vstat[:n] != _simplex._BASIC
+    free = vstat[:n] == _simplex._FREE
+    assert ((x == lo) | (x == hi) | free)[nb].all()
+    assert (x[free] == 0.0).all()
+    assert ((lo <= x) & (x <= hi)).all()
+    logical = basic >= n
+    art_rows = (basic[basic >= n + m] - n - m)
+    ok_rows = np.setdiff1d(np.arange(m), art_rows)
+    assert (A[ok_rows] @ x - b[ok_rows] <= 1e-13 * (1.0 + size[ok_rows])).all()
+    assert (xB[logical] >= -1e-12).all()
+    assert set(vstat[basic]) == {_simplex._BASIC}
+    assert (vstat == _simplex._BASIC).sum() == m
+    # the reduced basis built from the crash inverts B
+    basis = _simplex._ReducedBasis(A, basic)
+    a = np.random.default_rng(m + n).normal(size=m)
+    assert np.allclose(B @ basis.solve(a), a, atol=1e-9)
+
+
+def test_crash_needs_few_artificials():
+    # The default battery's mc LP starts primal-feasible, so no phase 1;
+    # a flex LP misses at most its two deadline rows.
+    problems = [build_storage_lp(BATTERY, synthetic_day(seed, 96, 0.25),
+                                 include_ramp_rate=False)
+                for seed in range(4)]
+    flex = [p for _, p in flex_lps(count=10, seed=34)]
+    for k, problem in enumerate(problems + flex):
+        A, b, lo, hi = _kernel_input(problem)
+        m, n = A.shape
+        _, _, basic, _ = _simplex._crash(A, b, lo, hi)
+        artificials = int((basic >= n + m).sum())
+        assert artificials <= (0 if k < len(problems) else 2)
+        # every epigraph column starts basic
+        assert (basic < n).sum() == n // 2
+
+
+def _tighten_bounds_dense(A, b, lb, ub):
+    """The dense reference: every row and column of A, the old way."""
+    lo = lb.copy()
+    hi = ub.copy()
+    need_lo = np.abs(lo) > lp._IMPLIED_GATE
+    need_hi = np.abs(hi) > lp._IMPLIED_GATE
+    if not (need_lo.any() or need_hi.any()):
+        return lo, hi
+    with np.errstate(invalid="ignore"):
+        cmin = (np.where(A > 0.0, A * lo[None, :], 0.0)
+                + np.where(A < 0.0, A * hi[None, :], 0.0))
+    neg_inf = np.isneginf(cmin)
+    ninf = neg_inf.sum(axis=1)
+    rowfin = np.where(neg_inf, 0.0, cmin).sum(axis=1)
+    resid = np.where(neg_inf,
+                     np.where(ninf[:, None] == 1, rowfin[:, None], -np.inf),
+                     np.where(ninf[:, None] == 0,
+                              rowfin[:, None] - cmin, -np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cand = (b[:, None] - resid) / A
+    ub_cand = np.where(A > 0.0, cand, np.inf).min(axis=0)
+    lb_cand = np.where(A < 0.0, cand, -np.inf).max(axis=0)
+    margin = 1e-7
+    ub_new = ub_cand + margin * (1.0 + np.abs(ub_cand))
+    lb_new = lb_cand - margin * (1.0 + np.abs(lb_cand))
+    hi = np.where(need_hi & (ub_new < hi), ub_new, hi)
+    lo = np.where(need_lo & (lb_new > lo), lb_new, lo)
+    hi = np.where(hi < lo, lo, hi)
+    return lo, hi
+
+
+def test_tighten_bounds_matches_dense_reference():
+    problems = (list(storage_lps(count=60, seed=41))
+                + list(flex_lps(count=40, seed=42))
+                + list(random_lps(count=200, seed=43)))
+    for label, p in problems:
+        got = lp._tighten_bounds(p.A, p.b, p.lb, p.ub)
+        want = _tighten_bounds_dense(p.A, p.b, p.lb, p.ub)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.isinf(g), np.isinf(w)), label
+            fin = np.isfinite(w)
+            assert np.allclose(g[fin], w[fin], rtol=1e-12, atol=0.0), label
