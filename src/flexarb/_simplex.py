@@ -27,9 +27,21 @@ start basic in their binding rows, and the other columns rest on the
 bounds that leave the fewest violations.  Storage LPs without ramp rows
 then start primal-feasible and flex LPs miss at most their deadline rows,
 so phase 1 is short or absent.  The numpy kernel also rests free columns
-at zero, relaxes bounds in its ratio test by 1e-9 rather than 1e-7, and
-refactors and recomputes its basic values at the optimum.  The kernels
-therefore agree on objectives, not bitwise on schedules.
+at zero, relaxes bounds in its ratio test by 1e-9 rather than 1e-7, moves
+the basic values with a leaving variable that its ratio test snaps onto a
+bound it had already crossed, and solves its final basic values afresh
+from A[T, S] at the optimum.  The kernels therefore agree on objectives,
+not bitwise on schedules.
+
+Only the numpy kernel warm-starts.  Given a basis, such as the optimal
+basis of an LP that differs in ``b`` (the next point of a ramp-rate
+sweep), it factors that basis and flips boxed columns to the bounds their
+reduced costs ask for.  A primal-feasible basis then goes straight to
+phase 2.  A dual-feasible one first runs a bounded dual simplex phase
+(``_dual_phase``) until it is primal-feasible.  A singular basis, or one
+that is neither, is dropped for the crash start.  The numpy kernel
+returns its final basis in the crash's layout for the next solve.  The
+numba kernel always solves cold and returns no basis.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 numerical failure.
 """
@@ -533,8 +545,9 @@ class _ReducedBasis:
 
     def __init__(self, A, basic):
         """Position i of ``basic`` holds row i's logical or a structural
-        column whose row of T is i; A[T, S] must then be diagonal, as the
-        crash leaves it."""
+        column whose row of T is i.  K is diag(1/a) when A[T, S] is
+        diagonal, as the crash leaves it, and a fresh inverse otherwise;
+        a singular A[T, S] raises ``np.linalg.LinAlgError``."""
         m, n = A.shape
         cap = min(m, n)
         self.At = np.ascontiguousarray(A.T)   # columns of A as rows
@@ -555,18 +568,30 @@ class _ReducedBasis:
         k = self.k = rows.size
         cols = basic[rows]
         ks = np.arange(k)
-        self.K[ks, ks] = 1.0 / A[rows, cols]
         self.SA[:k] = self.At[cols]
         self.spos[:k] = rows
         self.trow[:k] = rows
         self.sidx[rows] = ks
         self.tidx[rows] = ks
         self.rsig[rows] = 0.0
+        ATS = A[np.ix_(rows, cols)]
+        diag = ATS.diagonal()
+        if diag.all() and np.count_nonzero(ATS) == k:
+            self.K[ks, ks] = 1.0 / diag
+        elif not self.refactor():
+            raise np.linalg.LinAlgError("singular basis")
 
-    def solve(self, a):
-        """B^-1 a, in position order."""
+    def solve(self, a, fresh=False):
+        """B^-1 a, in position order.  ``fresh`` solves with A[T, S]
+        itself instead of K, free of the roundoff of K's updates, and
+        raises ``np.linalg.LinAlgError`` if A[T, S] is singular."""
         k = self.k
-        wS = self.K[:k, :k] @ a[self.trow[:k]]
+        aT = a[self.trow[:k]]
+        if fresh:
+            # adding 0.0 turns -0.0 into 0.0, so no "-0" reaches a CSV
+            wS = np.linalg.solve(self.SA[:k, self.trow[:k]].T, aT) + 0.0
+        else:
+            wS = self.K[:k, :k] @ aT
         w = (self.rsig * (a - wS @ self.SA[:k]))[self.prow]
         w[self.spos[:k]] = wS
         return w
@@ -589,15 +614,29 @@ class _ReducedBasis:
         y[self.trow[:k]] = t @ self.K[:k, :k]
         return y
 
-    def logical_row(self, p):
-        """Row p of B^-1 for a position p that holds a logical."""
+    def row(self, p):
+        """Row p of B^-1: K's row placed on the T rows for a structural
+        position, the row of a logical's row otherwise."""
         k = self.k
+        beta = np.zeros(self.m)
+        s = self.sidx[p]
+        if s >= 0:
+            beta[self.trow[:k]] = self.K[s, :k]
+            return beta
         i = self.prow[p]
         s = self.rsig[i]
-        beta = np.zeros(self.m)
         beta[self.trow[:k]] = -s * (self.SA[:k, i] @ self.K[:k, :k])
         beta[i] = s
         return beta
+
+    def canonical(self, basic):
+        """The basis in the crash's layout: row i's logical at position i,
+        an artificial mapped to its row's slack, and each basic
+        structural at the position of its T row."""
+        k = self.k
+        out = self.n + np.arange(self.m)
+        out[self.trow[:k]] = basic[self.spos[:k]]
+        return out
 
     def refactor(self):
         """Rebuild K from A[T, S]; False if that block is singular."""
@@ -679,6 +718,19 @@ _FREE = 4  # free structural resting at zero, off any bound
 #: positive where moving off the bound lowers the cost.  A free column's
 #: score is |d| and is set apart.
 _PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0, 0.0])
+
+
+def _scores(d, vstat, movable, has_free=True):
+    """Pricing scores: positive where moving a nonbasic variable off its
+    bound lowers the cost.  A free column leaves zero in the direction that
+    lowers the cost and, with both bounds infinite, never leaves the basis
+    again; its score is |d|.  ``has_free`` False skips the search for free
+    columns, which costs a few percent of a pivot."""
+    score = d * _PRICE_SIGN[vstat] * movable
+    if has_free:
+        free = np.flatnonzero(vstat == _FREE)
+        score[free] = np.abs(d[free])
+    return score
 
 
 def _crash(A, b, lb, ub):
@@ -788,37 +840,224 @@ def _crash(A, b, lb, ub):
     return vstat, xval, basic, xB
 
 
+def check_basis(basis, m, n):
+    """A warm-start basis as (basic, at_ub) arrays; ValueError if it does
+    not fit an LP with m rows and n columns.
+
+    ``basic`` lists m distinct basic variables, structural j as j and row
+    i's slack as n + i; ``at_ub`` flags the nonbasic structurals resting at
+    their upper bound.  ``LpSolution.basis`` has this form.
+    """
+    try:
+        basic, at_ub = basis
+    except (TypeError, ValueError):
+        raise ValueError("basis must be a (basic, at_ub) pair") from None
+    basic = np.asarray(basic)
+    at_ub = np.asarray(at_ub)
+    if basic.shape != (m,) or at_ub.shape != (n,):
+        raise ValueError(f"basis of shapes {basic.shape} and {at_ub.shape} "
+                         f"does not fit an LP with {m} rows and {n} columns")
+    if basic.dtype.kind not in "iu" or at_ub.dtype.kind != "b":
+        raise ValueError("basis must hold integer indices and boolean flags")
+    if m and (basic.min() < 0 or basic.max() >= n + m
+              or np.unique(basic).size != m):
+        raise ValueError(f"basis must list {m} distinct structurals or "
+                         "slacks")
+    return basic.astype(np.int64), at_ub
+
+
+def _warm_start(A, b, cost, lb, ub, basic_in, at_ub):
+    """The state of a given basis, in the crash's layout.
+
+    Slacks sit in their own rows and the structurals fill the other rows
+    in the given order.  Nonbasic structurals rest at the bound ``at_ub``
+    names (the finite one if it is infinite, zero if both are), and then
+    every boxed one whose reduced cost has the wrong sign moves to its
+    other bound.  Returns (vstat, xval, basic, xB, basis, d), d being the
+    reduced costs of the structurals and slacks, or None if the basis is
+    singular.
+    """
+    m, n = A.shape
+    slack = basic_in >= n
+    basic = n + np.arange(m)
+    own = np.ones(m, bool)
+    own[basic_in[slack] - n] = False
+    basic[own] = basic_in[~slack]
+    try:
+        basis = _ReducedBasis(A, basic)
+    except np.linalg.LinAlgError:
+        return None
+    lo_ok = np.isfinite(lb)
+    hi_ok = np.isfinite(ub)
+    up = hi_ok & (at_ub | ~lo_ok)
+    free = ~lo_ok & ~hi_ok
+    vstat = np.full(n + 2 * m, _LOCKED)
+    vstat[:n] = np.where(up, _AT_UB, np.where(free, _FREE, _AT_LB))
+    vstat[n:n + m] = _AT_LB
+    vstat[basic] = _BASIC
+    xval = np.zeros(n + 2 * m)
+    xval[:n] = np.where(up, ub, np.where(free, 0.0, lb))
+
+    y = basis.btran(cost[basic])
+    d = np.concatenate([cost[:n] - y @ A, -y])
+    boxed = (np.abs(lb) <= _HUGE_BND) & (np.abs(ub) <= _HUGE_BND) & (lb < ub)
+    st = vstat[:n]
+    to_ub = boxed & (st == _AT_LB) & (d[:n] < -_TOL_D)
+    to_lb = boxed & (st == _AT_UB) & (d[:n] > _TOL_D)
+    st[to_ub] = _AT_UB
+    st[to_lb] = _AT_LB
+    xval[:n] = np.where(to_ub, ub, np.where(to_lb, lb, xval[:n]))
+    nb = st != _BASIC
+    xB = basis.solve(b - A[:, nb] @ xval[:n][nb])
+    return vstat, xval, basic, xB, basis, d
+
+
+def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
+                max_iter):
+    """Bounded dual simplex from a dual-feasible basis to a primal-feasible
+    one.
+
+    The leaving variable is the basic one furthest beyond a bound; it
+    leaves onto that bound.  Its row of B^-1 gives the pivot row alpha,
+    and the entering variable is the nonbasic structural or slack with the
+    smallest ratio |d_j / alpha_j| among those whose reduced cost would
+    change sign, by a two-pass Harris test with tolerance ``_TOL_D`` that
+    takes the largest |alpha_j| among near-ties.  The primal step moves
+    every basic value with the entering column, so the leaving variable
+    lands exactly on its bound.  After ``_BLAND_AFTER`` degenerate steps
+    both choices go to the lowest index until a step makes progress.
+
+    Returns (status, xB, iterations): status is -1 once every basic value
+    is within ``_RELAX_NUMPY`` of its bounds, INFEASIBLE when a violated
+    row has no entering candidate (the dual is unbounded), and
+    NUMERICAL_FAILURE on a tiny pivot or at ``max_iter``.
+    """
+    m, n = A.shape
+    iters = 0
+    degen_run = 0
+    bland = False
+    while True:
+        lo = LB[basic]
+        hi = UB[basic]
+        below = lo - xB
+        infeas = np.maximum(below, xB - hi)
+        if bland:
+            bad = np.flatnonzero(infeas > _RELAX_NUMPY)
+            r = int(bad[np.argmin(basic[bad])]) if bad.size else 0
+        else:
+            r = int(np.argmax(infeas))
+        if infeas[r] <= _RELAX_NUMPY:
+            return -1, xB, iters
+        if iters >= max_iter:
+            return NUMERICAL_FAILURE, xB, iters
+        to_lb = below[r] > 0.0
+
+        y = basis.btran(cost[basic])
+        beta = basis.row(r)
+        yA, betaA = np.stack([y, beta]) @ A
+        d = np.concatenate([cost[:n] - yA, -y])
+        alpha = np.concatenate([betaA, beta])
+        # d + t * alpha (to_lb) or d - t * alpha must keep each nonbasic
+        # variable's reduced cost on the side of its bound as t grows
+        st = vstat[:n + m]
+        sign = _PRICE_SIGN[st] * movable
+        e = (alpha if to_lb else -alpha) * sign
+        slack_d = np.maximum(-d * sign, 0.0)
+        free = np.flatnonzero(st == _FREE)
+        e[free] = np.abs(alpha[free])
+        slack_d[free] = 0.0
+        elig = np.flatnonzero(e > _EPS_A)
+        if elig.size == 0:
+            return INFEASIBLE, xB, iters
+        ej = e[elig]
+        ratio = slack_d[elig] / ej
+        t_rel = ((slack_d[elig] + _TOL_D) / ej).min()
+        cand = elig[ratio <= t_rel]
+        if bland:
+            q = int(cand.min())
+        else:
+            q = int(cand[np.argmax(np.abs(alpha[cand]))])
+
+        w = basis.ftran(q)
+        if abs(w[r]) < _TINY_PIV:
+            return NUMERICAL_FAILURE, xB, iters
+        bound = lo[r] if to_lb else hi[r]
+        theta = (xB[r] - bound) / w[r]
+        xB -= theta * w
+        leaving = basic[r]
+        vstat[leaving] = _AT_LB if to_lb else _AT_UB
+        xval[leaving] = bound
+        xB[r] = xval[q] + theta
+        basic[r] = q
+        vstat[q] = _BASIC
+        basis.pivot(r, q, w)
+        iters += 1
+        if slack_d[q] / abs(alpha[q]) <= _DEGEN_EPS:
+            degen_run += 1
+            if degen_run > _BLAND_AFTER:
+                bland = True
+        else:
+            degen_run = 0
+            bland = False
+
+
 def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
-                  refactor_every=0):
+                  refactor_every=0, *, basis=None):
+    """Solve from the crash basis, or from ``basis`` when one is given.
+
+    A given basis (see ``check_basis``) is factored and its boxed columns
+    are flipped to the bounds their reduced costs ask for.  A
+    primal-feasible basis goes straight to phase 2; a dual-feasible one
+    first runs ``_dual_phase`` to primal feasibility; a singular basis, or
+    one that is neither, is dropped for the crash start.
+
+    Returns (status, x, iterations, basis out, warm): the basis is in the
+    form ``check_basis`` takes, whatever the status, and warm is True when
+    the solve started from the given basis.
+    """
     m, n = A.shape
     n_tot = n + 2 * m
     LB = np.concatenate([lb, np.zeros(m), np.zeros(m)])
     UB = np.concatenate([ub, np.full(m, np.inf), np.full(m, np.inf)])
-
-    vstat, xval, basic, xB = _crash(A, b, lb, ub)
-    basis = _ReducedBasis(A, basic)
-    cost = np.zeros(n_tot)
-    arts = basic >= n + m
-    cost[basic[arts]] = 1.0
-    phase = 1 if arts.any() else 2
-    if phase == 2:
-        cost[:n] = c
-
     # only artificials ever change bounds, and they never enter
     movable = ((UB[:n + m] - LB[:n + m]) > 0.0).astype(float)
-    # a free column leaves zero in the direction that lowers the cost and,
-    # with both bounds infinite, never leaves the basis again
-    has_free = bool((vstat[:n] == _FREE).any())
+    cost = np.zeros(n_tot)
+    cost[:n] = c
     iters = 0
+    status = -1
+
+    start = None
+    if basis is not None:
+        start = _warm_start(A, b, cost, lb, ub, *basis)
+    if start is not None:
+        vstat, xval, basic, xB, basis, d = start
+        infeas = np.maximum(LB[basic] - xB, xB - UB[basic]).max(initial=0.0)
+        if infeas > _RELAX_NUMPY:
+            if _scores(d, vstat[:n + m], movable).max() <= _TOL_D:
+                status, xB, iters = _dual_phase(
+                    A, cost, LB, UB, vstat, xval, basic, xB, basis,
+                    movable, max_iter)
+            else:
+                start = None
+    warm = start is not None
+    if not warm:
+        vstat, xval, basic, xB = _crash(A, b, lb, ub)
+        basis = _ReducedBasis(A, basic)
+        arts = basic >= n + m
+        if arts.any():
+            cost[:] = 0.0
+            cost[basic[arts]] = 1.0
+    phase = 1 if (basic >= n + m).any() else 2
+
+    has_free = bool((vstat[:n] == _FREE).any())
     degen_run = 0
     bland = False
-    status = -1
 
     def recompute_xb():
         nb = vstat[:n] != _BASIC
         return basis.solve(b - A[:, nb] @ xval[:n][nb])
 
-    while True:
+    while status < 0:
         if iters >= max_iter:
             status = NUMERICAL_FAILURE
             break
@@ -835,10 +1074,7 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
         # reduced costs of structurals and slacks; a variable is eligible
         # where its score, the reduced cost signed by its bound, is > _TOL_D
         d = np.concatenate([cost[:n] - y @ A, -y])
-        score = d * _PRICE_SIGN[vstat[:n + m]] * movable
-        if has_free:
-            nbf = np.flatnonzero(vstat[:n] == _FREE)
-            score[nbf] = np.abs(d[nbf])
+        score = _scores(d, vstat[:n + m], movable, has_free)
         q = int(np.argmax(score))
         if score[q] <= _TOL_D:
             if phase == 1:
@@ -849,7 +1085,7 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
                     status = INFEASIBLE
                     break
                 for p in np.nonzero(art_basic)[0]:
-                    beta = basis.logical_row(p)
+                    beta = basis.row(p)
                     arow = np.concatenate([beta @ A, beta])
                     arow[vstat[:n + m] == _BASIC] = 0.0
                     arow[vstat[:n + m] == _LOCKED] = 0.0
@@ -859,12 +1095,17 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
                         continue
                     wcol = basis.ftran(pick)
                     art = basic[p]
+                    left = xB[p]
                     vstat[art] = _LOCKED
                     UB[art] = 0.0
                     basic[p] = pick
                     vstat[pick] = _BASIC
                     xB[p] = xval[pick]
                     basis.pivot(p, pick, wcol)
+                    if left != 0.0:
+                        # the artificial leaves at zero, not at its value;
+                        # its column is minus its row's slack column
+                        xB -= left * basis.ftran(art - m)
                 mask = vstat[n + m:] != _BASIC
                 vstat[n + m:][mask] = _LOCKED
                 UB[n + m:][mask] = 0.0
@@ -875,14 +1116,16 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
                 degen_run = 0
                 iters += 1
                 continue
-            # report the basic values of a freshly factored final basis, not
-            # the updated ones, which carry the roundoff of steps as long as
-            # 1e9-scale bound flips and of every update of K since the last
-            # refactor
-            if not basis.refactor():
+            # report the basic values of the final basis solved afresh from
+            # A[T, S] x_S = r[T], not the updated ones, which carry the
+            # roundoff of steps as long as 1e9-scale bound flips and of
+            # every update of K
+            nb = vstat[:n] != _BASIC
+            try:
+                xB = basis.solve(b - A[:, nb] @ xval[:n][nb], fresh=True)
+            except np.linalg.LinAlgError:
                 status = NUMERICAL_FAILURE
                 break
-            xB = recompute_xb()
             status = OPTIMAL
             break
 
@@ -944,6 +1187,9 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
             status = NUMERICAL_FAILURE
             break
         t_star = ti[rpos]
+        # a leaving variable already beyond its bound (a negative true
+        # ratio, clipped to 0) is snapped onto that bound below
+        beyond = gap_lo[rpos] < 0.0 if up[rpos] else gap_hi[rpos] > 0.0
 
         delta = best_dir * t_star
         xB -= w * delta
@@ -952,18 +1198,29 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
         if leaving >= n + m:
             vstat[leaving] = _LOCKED
             UB[leaving] = 0.0
+            snap = -xB[rpos]
         elif alpha_r > 0.0:
             vstat[leaving] = _AT_LB
             xval[leaving] = LB[leaving]
+            snap = LB[leaving] - xB[rpos]
         else:
             vstat[leaving] = _AT_UB
             xval[leaving] = UB[leaving]
+            snap = UB[leaving] - xB[rpos]
         enter_val = xval[q] + delta
         basic[rpos] = q
         vstat[q] = _BASIC
         xB[rpos] = enter_val
 
         basis.pivot(rpos, q, w)
+        if beyond:
+            # moving the leaving variable by snap moves the basic values by
+            # its column in the new basis; an artificial's column is minus
+            # its row's slack column
+            if leaving >= n + m:
+                xB += snap * basis.ftran(leaving - m)
+            else:
+                xB -= snap * basis.ftran(leaving)
 
         iters += 1
         if t_star <= _DEGEN_EPS:
@@ -977,4 +1234,5 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
     x = xval[:n].copy()
     struct = basic < n
     x[basic[struct]] = xB[struct]
-    return status, x, iters
+    return (status, x, iters, (basis.canonical(basic), vstat[:n] == _AT_UB),
+            warm)

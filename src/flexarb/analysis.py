@@ -77,7 +77,13 @@ class SweepResult:
 
 def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
                     fractions, backend: str = None) -> SweepResult:
-    """Solve the storage model at each ramp-rate fraction of the swing limit."""
+    """Solve the storage model at each ramp-rate fraction of the swing limit.
+
+    The LPs are solved from the top fraction down, each from the optimal
+    basis of the one before, so only the first is solved cold: the top
+    fraction, or the reference solve at 1.0 when 1.0 is not among the
+    fractions.  The results stay in ascending order.
+    """
     fr = np.asarray(fractions, dtype=float)
     if fr.ndim != 1 or fr.size == 0:
         raise ValueError("fractions must be a non-empty 1-D sequence")
@@ -89,26 +95,34 @@ def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
     h = prices.h
     objective = np.empty(fr.size)
     cycles = np.empty(fr.size)
+    basis = None
     gain_ref = None
-    for k, phi in enumerate(fr):
-        p_k = params.with_ramp_rate_fraction(float(phi), h)
-        sol = solve_lp(build_storage_lp(p_k, prices), backend=backend)
-        if sol.status is not SolveStatus.OPTIMAL:
-            raise RuntimeError(
-                f"sweep solve failed at fraction {phi}: {sol.status.value}")
-        sched = extract_storage_schedule(sol, p_k, prices)
-        objective[k] = sol.objective
-        cycles[k] = equivalent_full_cycles(sched, p_k)
-        if phi == 1.0:
-            gain_ref = -sol.objective
-    sol_top = sol
-    if gain_ref is None:
+    if fr[-1] != 1.0:
         p_1 = params.with_ramp_rate_fraction(1.0, h)
         sol = solve_lp(build_storage_lp(p_1, prices), backend=backend)
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(
                 f"reference solve failed: {sol.status.value}")
         gain_ref = -sol.objective
+        basis = sol.basis
+    # top fraction down: each LP differs from the last only in the ramp
+    # rows' right side, so it starts from the last optimal basis
+    for k in range(fr.size - 1, -1, -1):
+        phi = fr[k]
+        p_k = params.with_ramp_rate_fraction(float(phi), h)
+        sol = solve_lp(build_storage_lp(p_k, prices), backend=backend,
+                       basis=basis)
+        if sol.status is not SolveStatus.OPTIMAL:
+            raise RuntimeError(
+                f"sweep solve failed at fraction {phi}: {sol.status.value}")
+        sched = extract_storage_schedule(sol, p_k, prices)
+        objective[k] = sol.objective
+        cycles[k] = equivalent_full_cycles(sched, p_k)
+        basis = sol.basis
+        if k == fr.size - 1:
+            sol_top = sol
+            if phi == 1.0:
+                gain_ref = -sol.objective
 
     gain = -objective
     if abs(gain_ref) > 1e-12:
@@ -126,7 +140,8 @@ def xc_yc_sweep(params: StorageParams, prices: PriceSignal, c_rates,
     """One ramp-rate sweep per c-rate; rating c means full charge in 1/c h.
 
     The swing limit is re-derived from the rating (delta_max = c * b_max,
-    symmetric discharge) while capacity and efficiencies stay fixed.
+    symmetric discharge) while capacity and efficiencies stay fixed.  Each
+    c-rate's sweep chains its solves as ``ramp_rate_sweep`` does.
     """
     out = []
     for c in np.asarray(c_rates, dtype=float):
@@ -179,10 +194,15 @@ def monte_carlo_run(base_params: StorageParams, price_generator,
     scenarios would be scheduled; aggregation is by ascending index.  A
     failed solve is recorded and skipped, the run continues.
 
-    When the params leave tau at the swing limits (tau_min is None) the
-    ramp-rate rows are omitted from each day's LP: at the boundary they
-    cannot bind (the no-op identity the test suite checks separately), and
-    dropping a third of the rows roughly triples benchmark throughput.
+    When the params leave tau unset (tau_min is None) the ramp-rate rows
+    are omitted from each day's LP, so the batch solves the model with no
+    ramp-rate limit.  That is not the same LP as ``build_storage_lp`` with
+    tau unset, whose rows sit at tau = (X_min, X_max).  A swing from X_min
+    to X_max changes x by X_max - X_min, so those rows can bind.  They
+    cannot when X_max and -X_min are both at least twice the usable
+    capacity, since no step moves more energy than that.  For the CLI's
+    default battery (X = 0.125 kWh per step, 0.8 kWh usable) they change
+    the objective on typical days.
     """
     if scenario_count < 1:
         raise ValueError(

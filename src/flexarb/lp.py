@@ -96,21 +96,36 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """How a solve went.  ``iterations`` counts every kernel attempt.
+    ``warm_start`` is True when the result was solved from the passed
+    basis; it is False after a cold re-solve, and when the kernel dropped
+    the basis (singular, or neither primal- nor dual-feasible) for its
+    crash start."""
+
     iterations: int
     wall_time_s: float
     backend: str
     max_residual: float
+    warm_start: bool = False
 
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``basis`` is the optimal basis as a read-only (basic, at_ub) pair,
+    the form ``solve_lp(..., basis=...)`` takes, or None: the numba
+    kernel returns none, and a non-optimal solve has none."""
+
     x: np.ndarray
     objective: float
     status: SolveStatus
     stats: SolveStats
+    basis: tuple = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", _ro(self.x))
+        if self.basis is not None:
+            object.__setattr__(self, "basis", tuple(
+                _ro(v, dtype=v.dtype) for v in self.basis))
 
 
 def validate_lp(problem: LpProblem) -> list:
@@ -242,15 +257,22 @@ def default_backend() -> str:
 
 
 def solve_lp(problem: LpProblem, backend: str = None,
-             max_iter: int = 0) -> LpSolution:
+             max_iter: int = 0, basis: tuple = None) -> LpSolution:
     """Solve the LP, returning an LpSolution with verified status.
 
     ``backend`` overrides the FLEXARB_BACKEND environment variable for this
-    call.  ``max_iter`` of 0 picks a size-based default.
+    call.  ``max_iter`` of 0 picks a size-based default.  ``basis``, such
+    as the ``basis`` of a solve of an LP of the same shape, is where the
+    numpy kernel starts (see ``_simplex.simplex_numpy``); one of the wrong
+    shape raises ValueError.  If the warm attempt ends in anything but a
+    verified optimum, the LP is solved again from the crash basis and that
+    result is reported.  The numba kernel always starts cold.
     """
     diags = validate_lp(problem)
     if diags:
         raise LpValidationError(diags)
+    if basis is not None:
+        basis = _simplex.check_basis(basis, *problem.A.shape)
     if backend is None:
         backend = _simplex._env_backend()
         hint = "set FLEXARB_BACKEND=numpy"
@@ -293,9 +315,6 @@ def solve_lp(problem: LpProblem, backend: str = None,
     bs = b / scale
     lbt, ubt = _tighten_bounds(A, b, lb, ub)
 
-    iters = 0
-    code = _simplex.NUMERICAL_FAILURE
-    x = np.zeros(n)
     if backend == "numba":
         run = _simplex.simplex_numba
         colp, rowi, vals = _csc_arrays(As)
@@ -303,17 +322,39 @@ def solve_lp(problem: LpProblem, backend: str = None,
         run = _simplex.simplex_numpy
         colp = rowi = vals = None  # the numpy kernel reads only As
     args = (As, colp, rowi, vals, bs, f.astype(float), lbt, ubt)
+    tol = FEASIBILITY_TOL * max(1.0, np.abs(b).max())
 
-    for refactor_every in (0, 96):
-        code, x, it = run(*args, FEASIBILITY_TOL * 0.1, max_iter,
-                          refactor_every)
-        iters += int(it)
-        if code != _simplex.OPTIMAL:
-            break
-        resid = _max_violation(problem, x, scale)
-        if resid <= FEASIBILITY_TOL * max(1.0, np.abs(b).max()):
-            break
-        code = _simplex.NUMERICAL_FAILURE  # retry with periodic refactoring
+    def verified(result):
+        """(code, x, iterations, basis out, residual) of a kernel call;
+        an optimum that fails the feasibility check becomes a failure.
+        The numba kernel returns no basis."""
+        code, x, it = result[:3]
+        out = result[3] if len(result) > 3 else None
+        resid = float("nan")
+        if code == _simplex.OPTIMAL:
+            resid = _max_violation(problem, x, scale)
+            if resid > tol:
+                code = _simplex.NUMERICAL_FAILURE
+        return code, x, int(it), out, resid
+
+    iters = 0
+    warm = False
+    code = _simplex.NUMERICAL_FAILURE
+    if basis is not None and backend == "numpy":
+        result = run(*args, FEASIBILITY_TOL * 0.1, max_iter, 0, basis=basis)
+        code, x, iters, out, resid = verified(result)
+        # a singular basis, or one neither primal- nor dual-feasible, is
+        # dropped inside the kernel for the crash start
+        warm = result[4] and code == _simplex.OPTIMAL
+    if code != _simplex.OPTIMAL:
+        # from the crash basis, then once more with periodic refactoring
+        for refactor_every in (0, 96):
+            result = run(*args, FEASIBILITY_TOL * 0.1, max_iter,
+                         refactor_every)
+            code, x, it, out, resid = verified(result)
+            iters += it
+            if code == _simplex.OPTIMAL or result[0] != _simplex.OPTIMAL:
+                break
 
     status = _STATUS_FROM_CODE[code]
     if status is SolveStatus.OPTIMAL:
@@ -322,8 +363,9 @@ def solve_lp(problem: LpProblem, backend: str = None,
         x = np.full(n, np.nan)
         obj = float("nan")
         resid = float("nan")
-    stats = SolveStats(iters, time.perf_counter() - t0, backend, resid)
-    return LpSolution(x, obj, status, stats)
+        out = None
+    stats = SolveStats(iters, time.perf_counter() - t0, backend, resid, warm)
+    return LpSolution(x, obj, status, stats, out)
 
 
 def _row_scale(A: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Sensitivity-analysis tests: gains, cycles, switching, sweeps, batches."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flexarb import analysis
 from flexarb.analysis import (McReport, arbitrage_gain, default_price_generator,
                               equivalent_full_cycles, mc_to_dict,
                               monte_carlo_run, ramp_rate_sweep,
@@ -13,9 +15,10 @@ from flexarb.analysis import (McReport, arbitrage_gain, default_price_generator,
 from flexarb.flexibility import FlexParams, build_flex_lp, \
     extract_flex_schedule, nominal_profile
 from flexarb.lp import solve_lp
-from flexarb.pricing import PriceSignal, synthetic_day
+from flexarb.pricing import PriceShape, PriceSignal, synthetic_day
 from flexarb.storage import (StorageParams, StorageSchedule,
-                             build_storage_lp, extract_storage_schedule)
+                             build_storage_lp, check_storage_schedule,
+                             extract_storage_schedule)
 
 from conftest import two_step_prices
 
@@ -232,3 +235,102 @@ def test_mc_report_mean_wall_time():
                       wall_times_s=np.full(4, 0.25), failures=(),
                       total_gain=0.0, total_wall_time_s=1.0)
     assert report.mean_wall_time_s == pytest.approx(0.25)
+
+
+# ---------------------------------------------------------------------------
+# warm-started sweeps
+# ---------------------------------------------------------------------------
+
+#: The CLI's default battery.
+BATTERY = StorageParams(b_min=0.2, b_max=1.0, b_0=0.2, delta_min=-0.5,
+                        delta_max=0.5, eta_ch=0.95, eta_dis=0.95)
+SWEEP_FRACTIONS = (0.05, 0.1, 0.3, 0.5, 1.0)
+
+
+def _sweep_cases():
+    """(label, params, prices, cycles fixed by the LP)."""
+    day = synthetic_day(5, 96, 0.25)
+    mid = 0.5 * (BATTERY.b_min + BATTERY.b_max)
+    for c_rate in (0.5, 1.0, 2.0):
+        yield (f"c={c_rate}", replace(BATTERY, delta_min=-c_rate,
+                                      delta_max=c_rate), day, True)
+    # selling at price 0 makes dumping stored energy cost nothing, so from
+    # b_0 above b_min the optimal schedules differ in their cycles: the
+    # warm chain keeps the top solve's full discharge (1.0 cycles at every
+    # fraction here), separate cold solves stop anywhere from 0.03 to 0.94
+    for b_0 in (BATTERY.b_min, mid, BATTERY.b_max):
+        yield (f"kappa=0 b_0={b_0}", replace(BATTERY, b_0=b_0),
+               synthetic_day(7, 96, 0.25, shape=PriceShape(kappa=0.0)),
+               b_0 == BATTERY.b_min)
+    yield ("equal slopes", replace(BATTERY, b_0=mid, eta_ch=1.0,
+                                   eta_dis=1.0), day, True)
+
+
+@pytest.mark.parametrize("label, params, prices, fixed",
+                         list(_sweep_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_warm_sweep_matches_cold_solves_and_highs(label, params, prices,
+                                                  fixed, monkeypatch):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    warm = []
+
+    def recording_solve(problem, *args, **kwargs):
+        warm.append(solve_lp(problem, *args, **kwargs))
+        return warm[-1]
+
+    monkeypatch.setattr(analysis, "solve_lp", recording_solve)
+    result = ramp_rate_sweep(params, prices, SWEEP_FRACTIONS)
+    for k, phi in enumerate(SWEEP_FRACTIONS):
+        p_k = params.with_ramp_rate_fraction(phi, prices.h)
+        problem = build_storage_lp(p_k, prices)
+        cold = solve_lp(problem)
+        ref = linprog(problem.f, A_ub=problem.A, b_ub=problem.b,
+                      bounds=list(zip(problem.lb, problem.ub)),
+                      method="highs").fun
+        assert abs(result.objective[k] - cold.objective) <= 1e-9, phi
+        assert abs(result.objective[k] - ref) <= 1e-9 * max(1.0, abs(ref))
+        sched = extract_storage_schedule(warm[-1 - k], p_k, prices)
+        assert check_storage_schedule(sched, p_k, prices.h) == []
+        assert abs(sched.total_cost - cold.objective) <= 1e-9
+        if fixed:
+            cycles = equivalent_full_cycles(
+                extract_storage_schedule(cold, p_k, prices), p_k)
+            assert abs(result.cycles[k] - cycles) <= 1e-9, phi
+
+
+def test_sweep_warm_starts_every_solve_after_the_first(monkeypatch):
+    calls = []
+
+    def recording_solve(problem, *args, **kwargs):
+        sol = solve_lp(problem, *args, **kwargs)
+        calls.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(analysis, "solve_lp", recording_solve)
+    prices = synthetic_day(5, 96, 0.25)
+    ramp_rate_sweep(BATTERY, prices, [0.1, 0.25, 0.5, 1.0])
+    assert [sol.stats.warm_start for _, sol in calls] == [False] + [True] * 3
+    for problem, sol in calls[1:]:
+        cold = solve_lp(problem)
+        assert sol.stats.iterations < cold.stats.iterations
+    # without 1.0 among the fractions the reference solve is the cold root
+    calls.clear()
+    result = ramp_rate_sweep(BATTERY, prices, [0.25, 0.5])
+    assert [sol.stats.warm_start for _, sol in calls] == [False, True, True]
+    assert result.solution is calls[1][1]
+
+
+def test_mc_solves_the_model_without_ramp_rows():
+    # With tau unset, mc drops the ramp rows.  For the default battery the
+    # rows at tau = X (X = 0.125 kWh per step) still bind: a swing from -X
+    # to +X is 2X, and only X >= 2 x usable capacity makes them a no-op.
+    gen = default_price_generator()
+    report = monte_carlo_run(BATTERY, gen, 4, seed=7)
+    seeds = np.random.SeedSequence(7).spawn(4)
+    for i, child in enumerate(seeds):
+        day = gen(child)
+        free = solve_lp(build_storage_lp(BATTERY, day,
+                                         include_ramp_rate=False))
+        at_x = solve_lp(build_storage_lp(BATTERY, day))
+        assert report.objectives[i] == free.objective
+        assert at_x.objective > free.objective + 1e-6

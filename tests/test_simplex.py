@@ -242,7 +242,7 @@ def test_reduced_basis_inverts_the_basis(shape):
         for p_log in np.flatnonzero(basic >= n):
             e = np.zeros(m)
             e[p_log] = 1.0
-            assert np.allclose(basis.logical_row(p_log) @ B, e, atol=1e-8)
+            assert np.allclose(basis.row(p_log) @ B, e, atol=1e-8)
         if rng.random() < 0.1:
             assert basis.refactor()
     # structural for structural and for logical, slack for structural, for
@@ -441,3 +441,146 @@ def test_tighten_bounds_matches_dense_reference():
             assert np.array_equal(np.isinf(g), np.isinf(w)), label
             fin = np.isfinite(w)
             assert np.allclose(g[fin], w[fin], rtol=1e-12, atol=0.0), label
+
+
+# ---------------------------------------------------------------------------
+# basis out and warm starts
+# ---------------------------------------------------------------------------
+
+
+def _run_kernel(problem, max_iter=100000, basis=None):
+    A, b, lo, hi = _kernel_input(problem)
+    return _simplex.simplex_numpy(A, None, None, None, b, problem.f, lo, hi,
+                                  1e-7, max_iter, basis=basis)
+
+
+def _values_of_basis(problem, basis):
+    """Structural values of a basis, solved afresh: the nonbasic ones on
+    the bound ``at_ub`` names, the basic ones from B x_B = b - N x_N."""
+    A, b, lo, hi = _kernel_input(problem)
+    m, n = A.shape
+    basic, at_ub = basis
+    x = np.where(at_ub, hi, lo)
+    struct = basic < n
+    x[basic[struct]] = 0.0
+    xB = np.linalg.solve(_explicit_basis(A, basic), b - A @ x)
+    x[basic[struct]] = xB[struct]
+    return x
+
+
+def _kappa0_lps():
+    """kappa = 0 days, b_0 at b_min, mid and b_max, with and without ramp
+    rows: the LPs where leaving variables sat beyond their bounds."""
+    mid = 0.5 * (BATTERY.b_min + BATTERY.b_max)
+    for seed in range(6, 12):
+        day = synthetic_day(seed, 96, 0.25, shape=PriceShape(kappa=0.0))
+        for b_0 in (BATTERY.b_min, mid, BATTERY.b_max):
+            for ramp in (False, True):
+                params = replace(BATTERY, b_0=b_0)
+                if ramp:
+                    params = params.with_ramp_rate_fraction(0.3, 0.25)
+                yield (f"seed={seed} b_0={b_0} ramp={ramp}",
+                       build_storage_lp(params, day, include_ramp_rate=ramp))
+
+
+def test_truncated_kernel_x_matches_its_basis():
+    # A leaving variable that already sat beyond its bound was snapped
+    # onto it without moving the other basic values, so the tracked values
+    # drifted from the basis by up to 3e-11 (seed 9, mid b_0, ramp rows,
+    # 400 iterations).
+    for label, problem in _kappa0_lps():
+        for max_iter in (10, 100, 400):
+            status, x, iters, basis, warm = _run_kernel(problem, max_iter)
+            assert not warm
+            want = _values_of_basis(problem, basis)
+            assert np.abs(x - want).max() <= 1e-12, (label, max_iter)
+
+
+def test_basis_out_is_in_the_crash_layout():
+    problem = build_storage_lp(BATTERY.with_ramp_rate_fraction(0.3, 0.25),
+                               synthetic_day(4, 96, 0.25))
+    sol = solve_lp(problem, backend="numpy")
+    m, n = problem.A.shape
+    basic, at_ub = sol.basis
+    assert basic.shape == (m,) and at_ub.shape == (n,)
+    logical = basic >= n
+    # row i's slack at position i; structurals elsewhere, distinct
+    assert (basic[logical] == n + np.flatnonzero(logical)).all()
+    assert np.unique(basic).size == m
+    assert not at_ub[basic[~logical]].any()
+    assert np.abs(_values_of_basis(problem, sol.basis) - sol.x).max() <= 1e-12
+    assert not basic.flags.writeable
+
+
+def _ramp_lp(day=5, c_rate=1.0, tau=0.3, **kw):
+    rated = c_rate * BATTERY.b_max
+    params = replace(BATTERY, delta_min=-rated, delta_max=rated, **kw)
+    return build_storage_lp(params.with_ramp_rate_fraction(tau, 0.25),
+                            synthetic_day(day, 96, 0.25))
+
+
+def test_warm_start_from_another_lp_matches_highs(highs):
+    # another C-rate changes the bounds of x, another day the costs, which
+    # leaves the basis dual-infeasible
+    for donor, target in ((_ramp_lp(c_rate=1.0), _ramp_lp(c_rate=2.0)),
+                          (_ramp_lp(c_rate=2.0), _ramp_lp(c_rate=0.5)),
+                          (_ramp_lp(day=5), _ramp_lp(day=6)),
+                          (_ramp_lp(day=6, tau=1.0), _ramp_lp(day=7))):
+        basis = solve_lp(donor, backend="numpy").basis
+        sol = solve_lp(target, backend="numpy", basis=basis)
+        status, ref = highs(target)
+        assert sol.status is status is SolveStatus.OPTIMAL
+        assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_warm_start_of_an_infeasible_lp_reports_the_cold_status():
+    problem = _ramp_lp()
+    basis = solve_lp(problem, backend="numpy").basis
+    n = problem.n_cols // 2
+    # soc_1 <= b_max - 1 contradicts soc_1 >= b_min: rows 2n and 3n
+    b = problem.b.copy()
+    b[2 * n] = BATTERY.b_min - BATTERY.b_0 - 0.1
+    bad = LpProblem(problem.f, problem.A, b, problem.lb, problem.ub)
+    warm = solve_lp(bad, backend="numpy", basis=basis)
+    cold = solve_lp(bad, backend="numpy")
+    assert warm.status is cold.status is SolveStatus.INFEASIBLE
+    assert warm.basis is None and not warm.stats.warm_start
+    assert warm.stats.iterations > cold.stats.iterations
+
+
+def test_singular_basis_falls_back_to_the_crash():
+    problem = _ramp_lp()
+    m, n = problem.A.shape
+    # the epigraph column t_1 alone in a capacity row, where it has no entry
+    basic = n + np.arange(m)
+    basic[n] = n // 2
+    assert problem.A[n, n // 2] == 0.0
+    warm = solve_lp(problem, backend="numpy", basis=(basic, np.zeros(n, bool)))
+    cold = solve_lp(problem, backend="numpy")
+    assert warm.status is SolveStatus.OPTIMAL and not warm.stats.warm_start
+    assert warm.stats.iterations == cold.stats.iterations
+    assert np.array_equal(warm.x, cold.x)
+
+
+def test_basis_of_the_wrong_shape_raises():
+    problem = _ramp_lp()
+    m, n = problem.A.shape
+    basic, at_ub = solve_lp(problem, backend="numpy").basis
+    dup = basic.copy()
+    dup[0] = dup[1]
+    for bad in ((basic[:-1], at_ub), (basic, at_ub[:-1]), basic,
+                (basic, at_ub, at_ub), (basic.astype(float), at_ub),
+                (basic, at_ub.astype(int)), (dup, at_ub),
+                (np.where(basic == basic.max(), n + m, basic), at_ub)):
+        with pytest.raises(ValueError):
+            solve_lp(problem, backend="numpy", basis=bad)
+
+
+def test_warm_start_needs_fewer_iterations_than_cold():
+    problem = _ramp_lp(tau=0.5)
+    basis = solve_lp(_ramp_lp(tau=1.0), backend="numpy").basis
+    warm = solve_lp(problem, backend="numpy", basis=basis)
+    cold = solve_lp(problem, backend="numpy")
+    assert warm.stats.warm_start and not cold.stats.warm_start
+    assert warm.stats.iterations < cold.stats.iterations / 4
+    assert abs(warm.objective - cold.objective) <= 1e-12
