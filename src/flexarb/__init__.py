@@ -8,9 +8,9 @@ sensitivity sweeps, equivalent-cycle accounting, a seeded Monte Carlo
 benchmark, price-signal I/O, a brute-force dynamic-programming oracle for
 cross-checking, and a CLI that writes plot-ready CSV/JSON artifacts.
 
-Solves run on a self-contained bounded-variable simplex with two backends:
-a numba-compiled kernel and a pure-numpy fallback, selected through the
-FLEXARB_BACKEND environment variable or per call.
+Solves run on a self-contained bounded-variable revised simplex written in
+numpy, which warm-starts the solves of a ramp-rate sweep from the basis of
+the one before.
 """
 
 from .lp import (
@@ -21,9 +21,7 @@ from .lp import (
     LpValidationError,
     SolveStats,
     SolveStatus,
-    available_backends,
     constraint_report,
-    default_backend,
     dump_lp,
     solve_lp,
     validate_lp,
@@ -99,14 +97,12 @@ __all__ = [
     "StorageSchedule",
     "SweepResult",
     "arbitrage_gain",
-    "available_backends",
     "build_flex_lp",
     "build_storage_lp",
     "check_flex_schedule",
     "check_storage_schedule",
     "constraint_report",
     "consumed_power",
-    "default_backend",
     "default_price_generator",
     "derive_sell_prices",
     "dump_lp",

@@ -1,54 +1,43 @@
-"""Bounded-variable revised simplex kernels.
+"""Bounded-variable revised simplex.
 
-Two implementations of the same simplex method live here:
+``simplex_numpy`` solves  min c.x  s.t.  A x <= b,  lb <= x <= ub  after
+the caller has row-equilibrated A.  Slack and artificial variables are
+handled implicitly (unit columns).  Of the basis inverse it keeps only
+K = inv(A[T, S]), the k x k block belonging to the k basic structural
+columns (k <= min(m, n)); the slack and artificial columns of the other
+rows are applied implicitly (see ``_ReducedBasis``).  Storage LPs have
+2-3x more rows than columns and k stays well below m, so a pivot costs
+O(k^2 + m k) instead of O(m^2).
 
-* ``simplex_numba`` -- loop-level kernel compiled with ``numba.njit``.  It
-  keeps the full m x m basis inverse and updates it by Gauss-Jordan pivots.
-* ``simplex_numpy`` -- pure numpy, used when numba is unavailable or when
-  ``FLEXARB_BACKEND=numpy`` is set.  It keeps only K = inv(A[T, S]), the
-  k x k block of the basis belonging to its k basic structural columns
-  (k <= min(m, n)); the slack and artificial columns of the other rows are
-  applied implicitly (see ``_ReducedBasis``).  Storage LPs have 2-3x more
-  rows than columns and k stays well below m, so a pivot costs
-  O(k^2 + m k) instead of O(m^2).
+Entering variables are picked by Dantzig pricing with a switch to Bland's
+rule after a run of degenerate pivots, so the iteration is finite and
+deterministic; leaving ones by a two-pass Harris ratio test with bounds
+relaxed by 1e-9.  A leaving variable that the ratio test snaps onto a
+bound it had already crossed moves the basic values with it, and the
+final basic values are solved afresh from A[T, S] at the optimum.
 
-Both solve  min c.x  s.t.  A x <= b,  lb <= x <= ub  after the caller has
-row-equilibrated A.  Slack and artificial variables are handled implicitly
-(unit columns).  Entering variables are picked by Dantzig pricing with a
-switch to Bland's rule after a run of degenerate pivots, so the iteration
-is finite and deterministic; leaving ones by a two-pass Harris ratio test.
+A cold solve starts from an elastic-column crash basis (``_crash``):
+columns that only relax their rows as they grow toward a huge bound, such
+as the epigraph columns t_i of the storage and flex LPs, start basic in
+their binding rows, the other columns rest on the bounds that leave the
+fewest violations, free columns rest at zero, and each row still violated
+gets an artificial.  Storage LPs without ramp rows then start
+primal-feasible and flex LPs miss at most their deadline rows, so phase 1
+is short or absent.
 
-The kernels start differently.  The numba kernel rests every column on
-the bound its column sum points to and gives every violated row an
-artificial.  The numpy kernel starts from an elastic-column crash basis
-(``_crash``): columns that only relax their rows as they grow toward a
-huge bound, such as the epigraph columns t_i of the storage and flex LPs,
-start basic in their binding rows, and the other columns rest on the
-bounds that leave the fewest violations.  Storage LPs without ramp rows
-then start primal-feasible and flex LPs miss at most their deadline rows,
-so phase 1 is short or absent.  The numpy kernel also rests free columns
-at zero, relaxes bounds in its ratio test by 1e-9 rather than 1e-7, moves
-the basic values with a leaving variable that its ratio test snaps onto a
-bound it had already crossed, and solves its final basic values afresh
-from A[T, S] at the optimum.  The kernels therefore agree on objectives,
-not bitwise on schedules.
-
-Only the numpy kernel warm-starts.  Given a basis, such as the optimal
-basis of an LP that differs in ``b`` (the next point of a ramp-rate
-sweep), it factors that basis and flips boxed columns to the bounds their
-reduced costs ask for.  A primal-feasible basis then goes straight to
-phase 2.  A dual-feasible one first runs a bounded dual simplex phase
+A warm solve starts from a given basis, such as the optimal basis of an LP
+that differs in ``b`` (the next point of a ramp-rate sweep).  It factors
+that basis and flips boxed columns to the bounds their reduced costs ask
+for.  A primal-feasible basis then goes straight to phase 2.  A
+dual-feasible one first runs a bounded dual simplex phase
 (``_dual_phase``) until it is primal-feasible.  A singular basis, or one
-that is neither, is dropped for the crash start.  The numpy kernel
-returns its final basis in the crash's layout for the next solve.  The
-numba kernel always solves cold and returns no basis.
+that is neither, is dropped for the crash start.  Every solve returns its
+final basis in the crash's layout for the next solve.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 numerical failure.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -66,463 +55,12 @@ _LOCKED = 3  # artificial that is out of play
 _TOL_D = 1e-9       # reduced-cost optimality tolerance
 _TOL_PIV = 1e-7     # pivot magnitude below which we try to avoid pivoting
 _EPS_A = 1e-10      # column entries below this are treated as exact zeros
-_RELAX = 1e-7       # Harris ratio-test bound relaxation per row (numba)
-_RELAX_NUMPY = 1e-9  # the same in the numpy kernel, see simplex_numpy
+_RELAX = 1e-9       # Harris ratio-test bound relaxation per row
 _TINY_PIV = 1e-11   # hard floor: pivoting on less than this is failure
 _DEGEN_EPS = 1e-12  # step sizes below this count as degenerate
 _BLAND_AFTER = 50   # consecutive degenerate pivots before Bland's rule
 _HUGE_BND = 1e8     # crash avoids resting variables beyond this magnitude
 _CRASH_TOL = 1e-12  # crash: rows violated by less than this need no artificial
-
-
-def _env_backend() -> str:
-    choice = os.environ.get("FLEXARB_BACKEND", "").strip().lower()
-    if choice in ("numba", "numpy"):
-        return choice
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numba kernel
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-@njit(cache=True, nogil=True)
-def _refactorize(m, n, colp, rowi, vals, basic, Binv):
-    """Rebuild Binv from the basis columns; returns False if singular."""
-    B = np.zeros((m, m))
-    for p in range(m):
-        v = basic[p]
-        if v < n:
-            for k in range(colp[v], colp[v + 1]):
-                B[rowi[k], p] = vals[k]
-        elif v < n + m:
-            B[v - n, p] = 1.0
-        else:
-            B[v - n - m, p] = -1.0
-    # Gauss-Jordan with partial pivoting on [B | I]
-    for p in range(m):
-        Binv[p, :] = 0.0
-        Binv[p, p] = 1.0
-    for col in range(m):
-        piv = abs(B[col, col])
-        pr = col
-        for i in range(col + 1, m):
-            if abs(B[i, col]) > piv:
-                piv = abs(B[i, col])
-                pr = i
-        if piv < 1e-12:
-            return False
-        if pr != col:
-            for k in range(m):
-                tmp = B[col, k]
-                B[col, k] = B[pr, k]
-                B[pr, k] = tmp
-                tmp = Binv[col, k]
-                Binv[col, k] = Binv[pr, k]
-                Binv[pr, k] = tmp
-        inv = 1.0 / B[col, col]
-        for k in range(m):
-            B[col, k] *= inv
-            Binv[col, k] *= inv
-        for i in range(m):
-            if i != col:
-                f = B[i, col]
-                if f != 0.0:
-                    for k in range(m):
-                        B[i, k] -= f * B[col, k]
-                        Binv[i, k] -= f * Binv[col, k]
-    return True
-
-
-@njit(cache=True, nogil=True)
-def _recompute_xb(m, n, colp, rowi, vals, b, xval, vstat, Binv, xB):
-    """xB = Binv (b - sum of nonbasic columns at their bound values)."""
-    r = b.copy()
-    for j in range(n):
-        if vstat[j] != _BASIC:
-            xj = xval[j]
-            if xj != 0.0:
-                for k in range(colp[j], colp[j + 1]):
-                    r[rowi[k]] -= vals[k] * xj
-    # nonbasic slacks and artificials sit at zero, so nothing more to subtract
-    for i in range(m):
-        s = 0.0
-        row = Binv[i]
-        for k in range(m):
-            s += row[k] * r[k]
-        xB[i] = s
-
-
-@njit(cache=True, nogil=True)
-def _simplex_core(m, n, colp, rowi, vals, b, c, lb, ub,
-                  tol_feas, max_iter, refactor_every):
-    n_tot = n + 2 * m
-    LB = np.empty(n_tot)
-    UB = np.empty(n_tot)
-    for j in range(n):
-        LB[j] = lb[j]
-        UB[j] = ub[j]
-    for i in range(m):
-        LB[n + i] = 0.0
-        UB[n + i] = np.inf
-        LB[n + m + i] = 0.0
-        UB[n + m + i] = np.inf
-
-    vstat = np.empty(n_tot, np.int64)
-    xval = np.zeros(n_tot)
-    # crash: put each structural at the bound that leaves the rows slackest,
-    # except that a huge bound never beats a modest one (resting variables at
-    # 1e9-scale values poisons every later pivot with 1e-7-scale roundoff)
-    for j in range(n):
-        s = 0.0
-        for k in range(colp[j], colp[j + 1]):
-            s += vals[k]
-        pick_lb = s >= 0.0
-        if pick_lb:
-            if abs(LB[j]) > _HUGE_BND and abs(UB[j]) <= _HUGE_BND:
-                pick_lb = False
-        else:
-            if abs(UB[j]) > _HUGE_BND and abs(LB[j]) <= _HUGE_BND:
-                pick_lb = True
-        if pick_lb:
-            vstat[j] = _AT_LB
-            xval[j] = LB[j]
-        else:
-            vstat[j] = _AT_UB
-            xval[j] = UB[j]
-
-    r = b.copy()
-    for j in range(n):
-        xj = xval[j]
-        if xj != 0.0:
-            for k in range(colp[j], colp[j + 1]):
-                r[rowi[k]] -= vals[k] * xj
-
-    basic = np.empty(m, np.int64)
-    Binv = np.zeros((m, m))
-    xB = np.empty(m)
-    n_art = 0
-    cost = np.zeros(n_tot)
-    for i in range(m):
-        if r[i] >= 0.0:
-            basic[i] = n + i
-            Binv[i, i] = 1.0
-            xB[i] = r[i]
-            vstat[n + i] = _BASIC
-            vstat[n + m + i] = _LOCKED
-        else:
-            basic[i] = n + m + i
-            Binv[i, i] = -1.0
-            xB[i] = -r[i]
-            vstat[n + m + i] = _BASIC
-            vstat[n + i] = _AT_LB
-            cost[n + m + i] = 1.0
-            n_art += 1
-    phase = 1 if n_art > 0 else 2
-    if phase == 2:
-        for j in range(n):
-            cost[j] = c[j]
-
-    y = np.empty(m)
-    w = np.empty(m)
-    iters = 0
-    degen_run = 0
-    bland = False
-    status = -1
-
-    while True:
-        if iters >= max_iter:
-            status = NUMERICAL_FAILURE
-            break
-        if refactor_every > 0 and iters > 0 and iters % refactor_every == 0:
-            if not _refactorize(m, n, colp, rowi, vals, basic, Binv):
-                status = NUMERICAL_FAILURE
-                break
-            _recompute_xb(m, n, colp, rowi, vals, b, xval, vstat, Binv, xB)
-        elif iters > 0 and iters % 512 == 0:
-            _recompute_xb(m, n, colp, rowi, vals, b, xval, vstat, Binv, xB)
-
-        # BTRAN: y = cB . Binv, exploiting that most basic costs are zero
-        for k in range(m):
-            y[k] = 0.0
-        for p in range(m):
-            cb = cost[basic[p]]
-            if cb != 0.0:
-                row = Binv[p]
-                for k in range(m):
-                    y[k] += cb * row[k]
-
-        # pricing (Dantzig, or first eligible under Bland)
-        best_j = -1
-        best_dir = 0
-        best_score = _TOL_D
-        for j in range(n + m):
-            st = vstat[j]
-            if st == _BASIC or st == _LOCKED:
-                continue
-            if UB[j] - LB[j] <= 0.0:
-                continue  # fixed variable, nothing to move
-            if j < n:
-                d = cost[j]
-                for k in range(colp[j], colp[j + 1]):
-                    d -= y[rowi[k]] * vals[k]
-            else:
-                d = -y[j - n]
-            if st == _AT_LB:
-                if d < -_TOL_D:
-                    score = -d
-                    if bland:
-                        best_j = j
-                        best_dir = 1
-                        break
-                    if score > best_score:
-                        best_score = score
-                        best_j = j
-                        best_dir = 1
-            else:
-                if d > _TOL_D:
-                    score = d
-                    if bland:
-                        best_j = j
-                        best_dir = -1
-                        break
-                    if score > best_score:
-                        best_score = score
-                        best_j = j
-                        best_dir = -1
-
-        if best_j < 0:
-            if phase == 1:
-                infeas = 0.0
-                for i in range(m):
-                    if basic[i] >= n + m and xB[i] > 0.0:
-                        infeas += xB[i]
-                bscale = 1.0
-                for i in range(m):
-                    if abs(b[i]) > bscale:
-                        bscale = abs(b[i])
-                if infeas > tol_feas * bscale:
-                    status = INFEASIBLE
-                    break
-                # drive leftover artificials out where a usable pivot exists
-                for p in range(m):
-                    if basic[p] < n + m:
-                        continue
-                    beta = Binv[p]
-                    pick = -1
-                    pick_a = _TOL_PIV
-                    for j in range(n + m):
-                        if vstat[j] == _BASIC or vstat[j] == _LOCKED:
-                            continue
-                        if j < n:
-                            a = 0.0
-                            for k in range(colp[j], colp[j + 1]):
-                                a += beta[rowi[k]] * vals[k]
-                        else:
-                            a = beta[j - n]
-                        if abs(a) > pick_a:
-                            pick_a = abs(a)
-                            pick = j
-                    if pick >= 0:
-                        # degenerate swap: entering stays at its bound value
-                        if pick < n:
-                            for i in range(m):
-                                s = 0.0
-                                row = Binv[i]
-                                for k in range(colp[pick], colp[pick + 1]):
-                                    s += row[rowi[k]] * vals[k]
-                                w[i] = s
-                        else:
-                            for i in range(m):
-                                w[i] = Binv[i, pick - n]
-                        art = basic[p]
-                        vstat[art] = _LOCKED
-                        UB[art] = 0.0
-                        basic[p] = pick
-                        vstat[pick] = _BASIC
-                        xB[p] = xval[pick]
-                        pr = 1.0 / w[p]
-                        for k in range(m):
-                            Binv[p, k] *= pr
-                        for i in range(m):
-                            if i != p:
-                                f = w[i]
-                                if f != 0.0:
-                                    row = Binv[i]
-                                    prow = Binv[p]
-                                    for k in range(m):
-                                        row[k] -= f * prow[k]
-                    else:
-                        # redundant row: pin the artificial at zero in place
-                        UB[basic[p]] = 0.0
-                for i in range(m):
-                    if vstat[n + m + i] != _BASIC:
-                        vstat[n + m + i] = _LOCKED
-                        UB[n + m + i] = 0.0
-                for j in range(n_tot):
-                    cost[j] = c[j] if j < n else 0.0
-                phase = 2
-                bland = False
-                degen_run = 0
-                iters += 1
-                continue
-            status = OPTIMAL
-            break
-
-        q = best_j
-        # FTRAN: w = Binv . A[:, q]
-        if q < n:
-            for i in range(m):
-                s = 0.0
-                row = Binv[i]
-                for k in range(colp[q], colp[q + 1]):
-                    s += row[rowi[k]] * vals[k]
-                w[i] = s
-        else:
-            for i in range(m):
-                w[i] = Binv[i, q - n]
-
-        # ratio test, pass 1 (Harris): shortest step against bounds relaxed
-        # by _RELAX, counting every nonzero entry so no blocker is skipped
-        t_flip = UB[q] - LB[q]
-        t_rel = np.inf
-        for i in range(m):
-            alpha = best_dir * w[i]
-            if alpha > _EPS_A:
-                ti = (xB[i] - LB[basic[i]] + _RELAX) / alpha
-            elif alpha < -_EPS_A:
-                ti = (xB[i] - UB[basic[i]] - _RELAX) / alpha
-            else:
-                continue
-            if ti < 0.0:
-                ti = 0.0
-            if ti < t_rel:
-                t_rel = ti
-        if not (t_rel < np.inf) and not (t_flip < np.inf):
-            status = UNBOUNDED if phase == 2 else NUMERICAL_FAILURE
-            break
-
-        if t_flip <= t_rel:
-            # bound flip: no basis change, blockers stay within the relaxation
-            delta = best_dir * t_flip
-            for i in range(m):
-                xB[i] -= w[i] * delta
-            if vstat[q] == _AT_LB:
-                vstat[q] = _AT_UB
-                xval[q] = UB[q]
-            else:
-                vstat[q] = _AT_LB
-                xval[q] = LB[q]
-            iters += 1
-            if t_flip > _DEGEN_EPS:
-                degen_run = 0
-                bland = False
-            continue
-
-        # pass 2: among rows whose true ratio fits inside the relaxed step,
-        # take the largest pivot (lowest variable index under Bland's rule)
-        rpos = -1
-        rbest = 0.0
-        rindex = n_tot + 1
-        t_star = 0.0
-        for i in range(m):
-            alpha = best_dir * w[i]
-            if alpha > _EPS_A:
-                ti = (xB[i] - LB[basic[i]]) / alpha
-            elif alpha < -_EPS_A:
-                ti = (xB[i] - UB[basic[i]]) / alpha
-            else:
-                continue
-            if ti < 0.0:
-                ti = 0.0
-            if ti <= t_rel:
-                if bland:
-                    if basic[i] < rindex:
-                        rindex = basic[i]
-                        rpos = i
-                        t_star = ti
-                else:
-                    a = abs(w[i])
-                    if a > rbest:
-                        rbest = a
-                        rpos = i
-                        t_star = ti
-        if rpos < 0 or abs(w[rpos]) < _TINY_PIV:
-            status = NUMERICAL_FAILURE
-            break
-
-        delta = best_dir * t_star
-        for i in range(m):
-            xB[i] -= w[i] * delta
-        leaving = basic[rpos]
-        alpha_r = best_dir * w[rpos]
-        if leaving >= n + m:
-            vstat[leaving] = _LOCKED
-            UB[leaving] = 0.0
-        elif alpha_r > 0.0:
-            vstat[leaving] = _AT_LB
-            xval[leaving] = LB[leaving]
-        else:
-            vstat[leaving] = _AT_UB
-            xval[leaving] = UB[leaving]
-        enter_val = xval[q] + delta
-        basic[rpos] = q
-        vstat[q] = _BASIC
-        xB[rpos] = enter_val
-
-        piv = 1.0 / w[rpos]
-        prow = Binv[rpos]
-        for k in range(m):
-            prow[k] *= piv
-        for i in range(m):
-            if i != rpos:
-                f = w[i]
-                if f != 0.0:
-                    row = Binv[i]
-                    for k in range(m):
-                        row[k] -= f * prow[k]
-
-        iters += 1
-        if t_star <= _DEGEN_EPS:
-            degen_run += 1
-            if degen_run > _BLAND_AFTER:
-                bland = True
-        else:
-            degen_run = 0
-            bland = False
-
-    x = np.empty(n)
-    for j in range(n):
-        x[j] = xval[j]
-    for i in range(m):
-        if basic[i] < n:
-            x[basic[i]] = xB[i]
-    return status, x, iters
-
-
-def simplex_numba(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
-                  refactor_every=0):
-    return _simplex_core(A.shape[0], A.shape[1], colp, rowi, vals, b, c,
-                         lb, ub, tol_feas, max_iter, refactor_every)
-
-
-# ---------------------------------------------------------------------------
-# numpy kernel: same pivot rules, reduced-basis representation
-# ---------------------------------------------------------------------------
 
 
 class _ReducedBasis:
@@ -928,7 +466,7 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
     both choices go to the lowest index until a step makes progress.
 
     Returns (status, xB, iterations): status is -1 once every basic value
-    is within ``_RELAX_NUMPY`` of its bounds, INFEASIBLE when a violated
+    is within ``_RELAX`` of its bounds, INFEASIBLE when a violated
     row has no entering candidate (the dual is unbounded), and
     NUMERICAL_FAILURE on a tiny pivot or at ``max_iter``.
     """
@@ -942,11 +480,11 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
         below = lo - xB
         infeas = np.maximum(below, xB - hi)
         if bland:
-            bad = np.flatnonzero(infeas > _RELAX_NUMPY)
+            bad = np.flatnonzero(infeas > _RELAX)
             r = int(bad[np.argmin(basic[bad])]) if bad.size else 0
         else:
             r = int(np.argmax(infeas))
-        if infeas[r] <= _RELAX_NUMPY:
+        if infeas[r] <= _RELAX:
             return -1, xB, iters
         if iters >= max_iter:
             return NUMERICAL_FAILURE, xB, iters
@@ -1001,8 +539,8 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
             bland = False
 
 
-def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
-                  refactor_every=0, *, basis=None):
+def simplex_numpy(A, b, c, lb, ub, tol_feas, max_iter, refactor_every=0, *,
+                  basis=None):
     """Solve from the crash basis, or from ``basis`` when one is given.
 
     A given basis (see ``check_basis``) is factored and its boxed columns
@@ -1032,7 +570,7 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
     if start is not None:
         vstat, xval, basic, xB, basis, d = start
         infeas = np.maximum(LB[basic] - xB, xB - UB[basic]).max(initial=0.0)
-        if infeas > _RELAX_NUMPY:
+        if infeas > _RELAX:
             if _scores(d, vstat[:n + m], movable).max() <= _TOL_D:
                 status, xB, iters = _dual_phase(
                     A, cost, LB, UB, vstat, xval, basic, xB, basis,
@@ -1144,11 +682,10 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
         moves = up | (alpha < -_EPS_A)
         gap_lo = xB - lo
         gap_hi = xB - hi
-        # Harris pass 1 against bounds relaxed by _RELAX_NUMPY.  Each row
-        # may end that far violated; with 1e-7 the epigraph rows of a day
-        # with zero sell prices all did, and the objective moved by ~1e-5
-        ti_rel = np.divide(np.where(up, gap_lo + _RELAX_NUMPY,
-                                    gap_hi - _RELAX_NUMPY),
+        # Harris pass 1 against bounds relaxed by _RELAX.  Each row may end
+        # that far violated; with 1e-7 the epigraph rows of a day with zero
+        # sell prices all did, and the objective moved by ~1e-5
+        ti_rel = np.divide(np.where(up, gap_lo + _RELAX, gap_hi - _RELAX),
                            alpha, out=np.full(m, np.inf), where=moves)
         np.maximum(ti_rel, 0.0, out=ti_rel)
         t_rel = ti_rel.min() if m else np.inf
@@ -1236,3 +773,9 @@ def simplex_numpy(A, colp, rowi, vals, b, c, lb, ub, tol_feas, max_iter,
     x[basic[struct]] = xB[struct]
     return (status, x, iters, (basis.canonical(basic), vstat[:n] == _AT_UB),
             warm)
+
+
+# perfbench/spans.py wraps each of its CALL_SITES with a bare getattr, and
+# its list still names this attribute; the placeholder keeps traced runs
+# working until that list drops it.
+simplex_numba = None

@@ -76,7 +76,7 @@ class SweepResult:
 
 
 def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
-                    fractions, backend: str = None) -> SweepResult:
+                    fractions) -> SweepResult:
     """Solve the storage model at each ramp-rate fraction of the swing limit.
 
     The LPs are solved from the top fraction down, each from the optimal
@@ -99,7 +99,7 @@ def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
     gain_ref = None
     if fr[-1] != 1.0:
         p_1 = params.with_ramp_rate_fraction(1.0, h)
-        sol = solve_lp(build_storage_lp(p_1, prices), backend=backend)
+        sol = solve_lp(build_storage_lp(p_1, prices))
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(
                 f"reference solve failed: {sol.status.value}")
@@ -110,8 +110,7 @@ def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
     for k in range(fr.size - 1, -1, -1):
         phi = fr[k]
         p_k = params.with_ramp_rate_fraction(float(phi), h)
-        sol = solve_lp(build_storage_lp(p_k, prices), backend=backend,
-                       basis=basis)
+        sol = solve_lp(build_storage_lp(p_k, prices), basis=basis)
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(
                 f"sweep solve failed at fraction {phi}: {sol.status.value}")
@@ -136,7 +135,7 @@ def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
 
 
 def xc_yc_sweep(params: StorageParams, prices: PriceSignal, c_rates,
-                fractions, backend: str = None) -> tuple:
+                fractions) -> tuple:
     """One ramp-rate sweep per c-rate; rating c means full charge in 1/c h.
 
     The swing limit is re-derived from the rating (delta_max = c * b_max,
@@ -150,7 +149,7 @@ def xc_yc_sweep(params: StorageParams, prices: PriceSignal, c_rates,
         rated = float(c * params.b_max)
         p_c = replace(params, delta_min=-rated, delta_max=rated,
                       tau_min=None, tau_max=None)
-        out.append(ramp_rate_sweep(p_c, prices, fractions, backend=backend))
+        out.append(ramp_rate_sweep(p_c, prices, fractions))
     return tuple(out)
 
 
@@ -185,8 +184,7 @@ def default_price_generator(n_steps: int = 96, h: float = 0.25, shape=None):
 
 
 def monte_carlo_run(base_params: StorageParams, price_generator,
-                    scenario_count: int, seed: int,
-                    backend: str = None) -> McReport:
+                    scenario_count: int, seed: int) -> McReport:
     """Solve one storage day per scenario and aggregate gains.
 
     Scenario i gets an independent child seed of `seed`, so the report is
@@ -218,8 +216,7 @@ def monte_carlo_run(base_params: StorageParams, price_generator,
         try:
             prices = price_generator(child_seeds[i])
             sol = solve_lp(build_storage_lp(base_params, prices,
-                                            include_ramp_rate=rate_rows),
-                           backend=backend)
+                                            include_ramp_rate=rate_rows))
             if sol.status is SolveStatus.OPTIMAL:
                 objectives[i] = sol.objective
             else:

@@ -24,8 +24,6 @@ overrides the matching key.  Schema:
     out = runs
     format = both              ; csv | json | both
     seed = 0                   ; u64, used by mc
-    backend = numba            ; numba | numpy (default: FLEXARB_BACKEND,
-                               ; else numba if it imports, else numpy)
 
     [storage]
     b_min = 0.2                ; kWh
@@ -183,10 +181,6 @@ def _resolve_run(args, cfg) -> dict:
     if fmt not in ("csv", "json", "both"):
         raise CliError(EXIT_CONFIG, "config",
                        f"--format must be csv, json or both, got {fmt!r}")
-    backend = _pick(args.backend, cfg, "run", "backend", None, str)
-    if backend is not None and backend not in ("numba", "numpy"):
-        raise CliError(EXIT_CONFIG, "config",
-                       f"backend must be numba or numpy, got {backend!r}")
     seed = _pick(args.seed, cfg, "run", "seed", 0, _parse_seed)
     return {
         "prices": _pick(args.prices, cfg, "run", "prices", "sample", str),
@@ -194,7 +188,6 @@ def _resolve_run(args, cfg) -> dict:
         "out": Path(_pick(args.out, cfg, "run", "out", "runs", str)),
         "format": fmt,
         "seed": seed,
-        "backend": backend,
     }
 
 
@@ -372,10 +365,10 @@ def _summary(mode, run, prices_name, n_steps, params, solution=None,
     return doc
 
 
-def _solve_or_die(problem, backend):
+def _solve_or_die(problem):
     try:
-        solution = solve_lp(problem, backend=backend)
-    except (LpValidationError, RuntimeError) as exc:
+        solution = solve_lp(problem)
+    except LpValidationError as exc:
         raise CliError(EXIT_SOLVER, "solver", str(exc)) from exc
     if solution.status is not SolveStatus.OPTIMAL:
         raise CliError(EXIT_SOLVER, "solver",
@@ -403,8 +396,7 @@ def _cmd_storage(args, cfg, run) -> int:
     params = _resolve_storage(args, cfg, prices.h)
     run_dir = _ensure_run_dir(run["out"], "storage")
     t0 = time.perf_counter()
-    solution = _solve_or_die(build_storage_lp(params, prices),
-                             run["backend"])
+    solution = _solve_or_die(build_storage_lp(params, prices))
     schedule = extract_storage_schedule(solution, params, prices)
     wall = time.perf_counter() - t0
     _storage_schedule_files(schedule, run_dir, run["format"])
@@ -425,7 +417,7 @@ def _cmd_flex(args, cfg, run) -> int:
     params = _resolve_flex(args, cfg, prices.h, len(prices))
     run_dir = _ensure_run_dir(run["out"], "flex")
     t0 = time.perf_counter()
-    solution = _solve_or_die(build_flex_lp(params, prices), run["backend"])
+    solution = _solve_or_die(build_flex_lp(params, prices))
     schedule = extract_flex_schedule(solution, params, prices)
     nominal = nominal_profile(params, prices)
     wall = time.perf_counter() - t0
@@ -462,8 +454,7 @@ def _cmd_sweep(args, cfg, run) -> int:
     run_dir = _ensure_run_dir(run["out"], "sweep")
     t0 = time.perf_counter()
     try:
-        result = ramp_rate_sweep(params, prices, fractions,
-                                 backend=run["backend"])
+        result = ramp_rate_sweep(params, prices, fractions)
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, "config", str(exc)) from exc
     except RuntimeError as exc:
@@ -503,8 +494,7 @@ def _cmd_xcyc(args, cfg, run) -> int:
     run_dir = _ensure_run_dir(run["out"], "xcyc")
     t0 = time.perf_counter()
     try:
-        results = xc_yc_sweep(params, prices, c_rates, fractions,
-                              backend=run["backend"])
+        results = xc_yc_sweep(params, prices, c_rates, fractions)
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, "config", str(exc)) from exc
     except RuntimeError as exc:
@@ -548,12 +538,9 @@ def _cmd_mc(args, cfg, run) -> int:
     run_dir = _ensure_run_dir(run["out"], "mc")
     gen = default_price_generator(n_steps=steps, h=run["h"])
     try:
-        report = monte_carlo_run(params, gen, count, run["seed"],
-                                 backend=run["backend"])
+        report = monte_carlo_run(params, gen, count, run["seed"])
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, "config", str(exc)) from exc
-    except RuntimeError as exc:
-        raise CliError(EXIT_SOLVER, "solver", str(exc)) from exc
     if run["format"] in ("csv", "both"):
         ok = np.isfinite(report.objectives)
         _write_rows_csv(run_dir / "mc.csv",
@@ -614,9 +601,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
                    help="data artifact format (default both)")
     p.add_argument("--seed", type=_parse_seed,
                    help="u64 seed for randomized modes (default 0)")
-    p.add_argument("--backend", choices=("numba", "numpy"),
-                   help="solver backend (default: FLEXARB_BACKEND if set, "
-                   "otherwise numba if it imports, otherwise numpy)")
 
 
 def _add_storage_params(p: argparse.ArgumentParser) -> None:

@@ -6,8 +6,8 @@ The canonical form used throughout the package is
     subject to  A x <= b
                 lb <= x <= ub
 
-``solve_lp`` row-equilibrates A, dispatches to one of the two simplex
-backends in :mod:`flexarb._simplex`, and verifies the returned point
+``solve_lp`` row-equilibrates A, solves it with the bounded-variable
+simplex of :mod:`flexarb._simplex`, and verifies the returned point
 against the original (unscaled) data before reporting it as optimal.
 """
 
@@ -100,20 +100,21 @@ class SolveStats:
     ``warm_start`` is True when the result was solved from the passed
     basis; it is False after a cold re-solve, and when the kernel dropped
     the basis (singular, or neither primal- nor dual-feasible) for its
-    crash start."""
+    crash start.  ``backend`` names the one solver, for the JSON outputs
+    and the benchmark harness that still read it."""
 
     iterations: int
     wall_time_s: float
-    backend: str
     max_residual: float
     warm_start: bool = False
+    backend = "numpy"
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """``basis`` is the optimal basis as a read-only (basic, at_ub) pair,
-    the form ``solve_lp(..., basis=...)`` takes, or None: the numba
-    kernel returns none, and a non-optimal solve has none."""
+    the form ``solve_lp(..., basis=...)`` takes, or None when the solve is
+    not optimal."""
 
     x: np.ndarray
     objective: float
@@ -170,17 +171,6 @@ def validate_lp(problem: LpProblem) -> list:
         diags.append(f"col_labels has length {len(problem.col_labels)},"
                      f" expected {n}")
     return diags
-
-
-def _csc_arrays(A: np.ndarray):
-    """Column-compressed copy of A for the numba kernel."""
-    m, n = A.shape
-    At = A.T
-    cols, rows = np.nonzero(At)
-    vals = At[cols, rows]
-    colp = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n), out=colp[1:])
-    return colp, rows.astype(np.int64), vals.astype(np.float64)
 
 
 _IMPLIED_GATE = 1e8  # only bounds beyond this magnitude get tightened
@@ -245,44 +235,22 @@ def _tighten_bounds(A, b, lb, ub):
     return lo, hi
 
 
-def available_backends() -> tuple:
-    out = ["numpy"]
-    if _simplex._HAVE_NUMBA:
-        out.insert(0, "numba")
-    return tuple(out)
-
-
-def default_backend() -> str:
-    return _simplex._env_backend()
-
-
-def solve_lp(problem: LpProblem, backend: str = None,
-             max_iter: int = 0, basis: tuple = None) -> LpSolution:
+def solve_lp(problem: LpProblem, max_iter: int = 0,
+             basis: tuple = None) -> LpSolution:
     """Solve the LP, returning an LpSolution with verified status.
 
-    ``backend`` overrides the FLEXARB_BACKEND environment variable for this
-    call.  ``max_iter`` of 0 picks a size-based default.  ``basis``, such
-    as the ``basis`` of a solve of an LP of the same shape, is where the
-    numpy kernel starts (see ``_simplex.simplex_numpy``); one of the wrong
-    shape raises ValueError.  If the warm attempt ends in anything but a
-    verified optimum, the LP is solved again from the crash basis and that
-    result is reported.  The numba kernel always starts cold.
+    ``max_iter`` of 0 picks a size-based default.  ``basis``, such as the
+    ``basis`` of a solve of an LP of the same shape, is where the simplex
+    starts (see ``_simplex.simplex_numpy``); one of the wrong shape raises
+    ValueError.  Without one, or if the warm attempt ends in anything but a
+    verified optimum, the LP is solved from the crash basis and that result
+    is reported.
     """
     diags = validate_lp(problem)
     if diags:
         raise LpValidationError(diags)
     if basis is not None:
         basis = _simplex.check_basis(basis, *problem.A.shape)
-    if backend is None:
-        backend = _simplex._env_backend()
-        hint = "set FLEXARB_BACKEND=numpy"
-    else:
-        hint = "pass backend=\"numpy\" (CLI: --backend numpy)"
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not _simplex._HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not "
-                           f"importable; {hint}")
 
     t0 = time.perf_counter()
     f = problem.f
@@ -306,7 +274,7 @@ def solve_lp(problem: LpProblem, backend: str = None,
         else:
             status = SolveStatus.OPTIMAL
             obj = float(f @ x)
-        stats = SolveStats(0, time.perf_counter() - t0, backend, 0.0)
+        stats = SolveStats(0, time.perf_counter() - t0, 0.0)
         return LpSolution(x, obj, status, stats)
 
     # row equilibration: scale every row of [A | b] so max |A_ij| is one
@@ -315,21 +283,14 @@ def solve_lp(problem: LpProblem, backend: str = None,
     bs = b / scale
     lbt, ubt = _tighten_bounds(A, b, lb, ub)
 
-    if backend == "numba":
-        run = _simplex.simplex_numba
-        colp, rowi, vals = _csc_arrays(As)
-    else:
-        run = _simplex.simplex_numpy
-        colp = rowi = vals = None  # the numpy kernel reads only As
-    args = (As, colp, rowi, vals, bs, f.astype(float), lbt, ubt)
+    run = _simplex.simplex_numpy
+    args = (As, bs, f.astype(float), lbt, ubt)
     tol = FEASIBILITY_TOL * max(1.0, np.abs(b).max())
 
     def verified(result):
         """(code, x, iterations, basis out, residual) of a kernel call;
-        an optimum that fails the feasibility check becomes a failure.
-        The numba kernel returns no basis."""
-        code, x, it = result[:3]
-        out = result[3] if len(result) > 3 else None
+        an optimum that fails the feasibility check becomes a failure."""
+        code, x, it, out = result[:4]
         resid = float("nan")
         if code == _simplex.OPTIMAL:
             resid = _max_violation(problem, x, scale)
@@ -340,7 +301,7 @@ def solve_lp(problem: LpProblem, backend: str = None,
     iters = 0
     warm = False
     code = _simplex.NUMERICAL_FAILURE
-    if basis is not None and backend == "numpy":
+    if basis is not None:
         result = run(*args, FEASIBILITY_TOL * 0.1, max_iter, 0, basis=basis)
         code, x, iters, out, resid = verified(result)
         # a singular basis, or one neither primal- nor dual-feasible, is
@@ -364,7 +325,7 @@ def solve_lp(problem: LpProblem, backend: str = None,
         obj = float("nan")
         resid = float("nan")
         out = None
-    stats = SolveStats(iters, time.perf_counter() - t0, backend, resid, warm)
+    stats = SolveStats(iters, time.perf_counter() - t0, resid, warm)
     return LpSolution(x, obj, status, stats, out)
 
 

@@ -190,6 +190,16 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert summary["params"]["b_0"] == 0.4  # config still fills the rest
 
 
+def test_config_with_removed_backend_key_still_runs(tmp_path):
+    # [run] backend chose between two solver kernels; only one is left,
+    # and the key is now ignored like any other unknown key
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nbackend = numba\n")
+    assert cli.main(["storage", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    assert _summary(tmp_path / "storage")["status"] == "optimal"
+
+
 def test_missing_price_file_exits_2(tmp_path, capsys):
     rc = cli.main(["storage", "--prices", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path)])
@@ -216,9 +226,9 @@ def test_bad_params_exit_2(tmp_path, capsys):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
-    def fake_solve(problem, backend=None):
+    def fake_solve(problem):
         stats = SolveStats(iterations=0, wall_time_s=0.0,
-                           backend="numpy", max_residual=np.inf)
+                           max_residual=np.inf)
         return LpSolution(x=np.zeros(problem.f.size), objective=np.nan,
                           status=SolveStatus.INFEASIBLE, stats=stats)
 
@@ -228,29 +238,6 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     err = _stderr_error(capsys)
     assert err["kind"] == "solver"
     assert "infeasible" in err["message"]
-
-
-@pytest.mark.parametrize("mode", ["storage", "sweep", "mc"])
-def test_missing_numba_backend_exits_3(tmp_path, capsys, monkeypatch, mode):
-    monkeypatch.setattr("flexarb._simplex._HAVE_NUMBA", False)
-    extra = {"sweep": ["--fractions", "1.0"], "mc": ["--count", "1"]}
-    rc = cli.main([mode, "--backend", "numba", "--out", str(tmp_path),
-                   *extra.get(mode, [])])
-    assert rc == 3
-    err = _stderr_error(capsys)
-    assert err["kind"] == "solver"
-    assert "numba" in err["message"]
-    # the flag overrides FLEXARB_BACKEND, so the hint must name the flag
-    assert "--backend numpy" in err["message"]
-    assert "FLEXARB_BACKEND" not in err["message"]
-
-
-def test_missing_numba_from_environment_hints_variable(tmp_path, capsys,
-                                                       monkeypatch):
-    monkeypatch.setattr("flexarb._simplex._HAVE_NUMBA", False)
-    monkeypatch.setenv("FLEXARB_BACKEND", "numba")
-    assert cli.main(["storage", "--out", str(tmp_path)]) == 3
-    assert "set FLEXARB_BACKEND=numpy" in _stderr_error(capsys)["message"]
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from flexarb.lp import (LpProblem, LpValidationError, SolveStatus, dump_lp,
-                        available_backends, solve_lp, validate_lp)
+                        solve_lp, validate_lp)
 from flexarb.oracle import solve_storage_oracle
 from flexarb.pricing import PriceSignal, synthetic_day
 from flexarb.storage import StorageParams, build_storage_lp, \
     step_cost_segments
 
 from conftest import parse_lp_dump
-
-BACKENDS = available_backends()
 
 
 def abs_epigraph_problem():
@@ -24,21 +22,19 @@ def abs_epigraph_problem():
                      ub=[1.0, 10.0])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_abs_epigraph_minimum_at_origin(backend):
-    sol = solve_lp(abs_epigraph_problem(), backend=backend)
+def test_abs_epigraph_minimum_at_origin():
+    sol = solve_lp(abs_epigraph_problem())
     assert sol.status is SolveStatus.OPTIMAL
     assert abs(sol.objective) <= 1e-9
     assert np.allclose(sol.x, [0.0, 0.0], atol=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_four_step_alternating_prices_matches_dp(backend):
+def test_four_step_alternating_prices_matches_dp():
     p = np.array([0.1, 0.5, 0.1, 0.5])
     prices = PriceSignal(p_buy=p, p_sell=p, h=0.25)
     params = StorageParams(b_min=0.0, b_max=1.0, b_0=0.0, delta_min=-2.0,
                            delta_max=2.0, tau_min=-0.5, tau_max=0.5)
-    sol = solve_lp(build_storage_lp(params, prices), backend=backend)
+    sol = solve_lp(build_storage_lp(params, prices))
     assert sol.status is SolveStatus.OPTIMAL
     oracle_obj, _ = solve_storage_oracle(params, prices, grid_points=101)
     grid_cell = params.usable_capacity / 100
@@ -74,22 +70,20 @@ def test_wellformed_full_day_problem_passes_validation():
     assert validate_lp(build_storage_lp(params, prices)) == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_infeasible_status(backend):
+def test_infeasible_status():
     # x <= -1 and -x <= -1 cannot both hold
     problem = LpProblem(f=[1.0], A=[[1.0], [-1.0]], b=[-1.0, -1.0],
                         lb=[-5.0], ub=[5.0])
-    sol = solve_lp(problem, backend=backend)
+    sol = solve_lp(problem)
     assert sol.status is SolveStatus.INFEASIBLE
     assert np.isnan(sol.objective)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unbounded_status(backend):
+def test_unbounded_status():
     # min -x subject to -x <= 0 with no upper bound on x
     problem = LpProblem(f=[-1.0], A=[[-1.0]], b=[0.0],
                         lb=[0.0], ub=[np.inf])
-    sol = solve_lp(problem, backend=backend)
+    sol = solve_lp(problem)
     assert sol.status is SolveStatus.UNBOUNDED
 
 
@@ -102,37 +96,17 @@ def test_pure_box_problem_short_circuits():
     assert sol.stats.iterations == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solver_is_bitwise_deterministic(backend):
+def test_solver_is_bitwise_deterministic():
     prices = synthetic_day(5, n_steps=24)
     params = StorageParams(b_min=0.1, b_max=0.9, b_0=0.3, delta_min=-1.0,
                            delta_max=1.0, eta_ch=0.92, eta_dis=0.97)
     problem = build_storage_lp(params, prices)
-    a = solve_lp(problem, backend=backend)
-    b = solve_lp(problem, backend=backend)
+    a = solve_lp(problem)
+    b = solve_lp(problem)
     assert a.status is b.status
     assert a.x.tobytes() == b.x.tobytes()
     assert a.objective == b.objective
     assert a.stats.iterations == b.stats.iterations
-
-
-def test_backends_agree_on_objective():
-    if len(BACKENDS) < 2:
-        pytest.skip("single backend available")
-    for seed in range(6):
-        prices = synthetic_day(seed, n_steps=12)
-        params = StorageParams(b_min=0.0, b_max=1.0, b_0=0.4,
-                               delta_min=-0.8, delta_max=0.8,
-                               eta_ch=0.9, eta_dis=0.95,
-                               tau_min=-0.05, tau_max=0.05)
-        problem = build_storage_lp(params, prices)
-        objs = {}
-        for backend in BACKENDS:
-            sol = solve_lp(problem, backend=backend)
-            assert sol.status is SolveStatus.OPTIMAL
-            objs[backend] = sol.objective
-        scale = max(1.0, abs(objs["numpy"]))
-        assert abs(objs["numba"] - objs["numpy"]) <= 1e-8 * scale
 
 
 def test_optimal_point_feasible_within_tolerance():

@@ -49,7 +49,7 @@ def _mismatches(problems, highs):
     """(label, ours, HiGHS) for every LP whose status or objective differs."""
     out = []
     for label, problem in problems:
-        sol = solve_lp(problem, backend="numpy")
+        sol = solve_lp(problem)
         ref_status, ref_obj = highs(problem)
         if sol.status is not ref_status:
             out.append((label, sol.status.value, ref_status.value))
@@ -142,7 +142,7 @@ def test_ramp_half_rate_day_2_matches_highs(highs):
     prices = synthetic_day(2, 96, 0.25)
     problem = build_storage_lp(BATTERY.with_ramp_rate_fraction(0.5, 0.25),
                                prices)
-    sol = solve_lp(problem, backend="numpy")
+    sol = solve_lp(problem)
     status, ref = highs(problem)
     assert sol.status is status is SolveStatus.OPTIMAL
     assert abs(sol.objective - ref) <= RTOL * max(1.0, abs(ref))
@@ -155,7 +155,7 @@ def test_sentinel_steps_leave_no_drift_in_basic_values(highs):
     # check as a numerical failure; the kernel now recomputes them from
     # its final basis.
     _, problem = list(random_lps(count=1434, seed=103))[-1]
-    sol = solve_lp(problem, backend="numpy")
+    sol = solve_lp(problem)
     status, ref = highs(problem)
     assert sol.status is status is SolveStatus.OPTIMAL
     assert sol.stats.max_residual <= 1e-9
@@ -186,11 +186,11 @@ def test_refactor_every_iteration_matches_updates(monkeypatch):
     problems = ([p for _, p in storage_lps(count=6, seed=21)]
                 + [p for _, p in flex_lps(count=4, seed=22)]
                 + [p for _, p in random_lps(count=20, seed=23)])
-    updated = [solve_lp(p, backend="numpy") for p in problems]
+    updated = [solve_lp(p) for p in problems]
     kernel = _simplex.simplex_numpy
     monkeypatch.setattr(_simplex, "simplex_numpy",
                         lambda *args: kernel(*args[:-1], 1))
-    rebuilt = [solve_lp(p, backend="numpy") for p in problems]
+    rebuilt = [solve_lp(p) for p in problems]
     for a, b in zip(updated, rebuilt):
         assert a.status is b.status
         if a.status is SolveStatus.OPTIMAL:
@@ -284,7 +284,7 @@ def test_free_columns_rest_at_zero(highs):
                                       A=[[1.0, 1.0], [-1.0, -1.0]],
                                       b=[-1.0, -2.0], **FREE))]
     assert _mismatches(cases, highs) == []
-    sol = solve_lp(cases[0][1], backend="numpy")
+    sol = solve_lp(cases[0][1])
     assert sol.objective == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -450,8 +450,8 @@ def test_tighten_bounds_matches_dense_reference():
 
 def _run_kernel(problem, max_iter=100000, basis=None):
     A, b, lo, hi = _kernel_input(problem)
-    return _simplex.simplex_numpy(A, None, None, None, b, problem.f, lo, hi,
-                                  1e-7, max_iter, basis=basis)
+    return _simplex.simplex_numpy(A, b, problem.f, lo, hi, 1e-7, max_iter,
+                                  basis=basis)
 
 
 def _values_of_basis(problem, basis):
@@ -499,7 +499,7 @@ def test_truncated_kernel_x_matches_its_basis():
 def test_basis_out_is_in_the_crash_layout():
     problem = build_storage_lp(BATTERY.with_ramp_rate_fraction(0.3, 0.25),
                                synthetic_day(4, 96, 0.25))
-    sol = solve_lp(problem, backend="numpy")
+    sol = solve_lp(problem)
     m, n = problem.A.shape
     basic, at_ub = sol.basis
     assert basic.shape == (m,) and at_ub.shape == (n,)
@@ -526,8 +526,8 @@ def test_warm_start_from_another_lp_matches_highs(highs):
                           (_ramp_lp(c_rate=2.0), _ramp_lp(c_rate=0.5)),
                           (_ramp_lp(day=5), _ramp_lp(day=6)),
                           (_ramp_lp(day=6, tau=1.0), _ramp_lp(day=7))):
-        basis = solve_lp(donor, backend="numpy").basis
-        sol = solve_lp(target, backend="numpy", basis=basis)
+        basis = solve_lp(donor).basis
+        sol = solve_lp(target, basis=basis)
         status, ref = highs(target)
         assert sol.status is status is SolveStatus.OPTIMAL
         assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -535,14 +535,14 @@ def test_warm_start_from_another_lp_matches_highs(highs):
 
 def test_warm_start_of_an_infeasible_lp_reports_the_cold_status():
     problem = _ramp_lp()
-    basis = solve_lp(problem, backend="numpy").basis
+    basis = solve_lp(problem).basis
     n = problem.n_cols // 2
     # soc_1 <= b_max - 1 contradicts soc_1 >= b_min: rows 2n and 3n
     b = problem.b.copy()
     b[2 * n] = BATTERY.b_min - BATTERY.b_0 - 0.1
     bad = LpProblem(problem.f, problem.A, b, problem.lb, problem.ub)
-    warm = solve_lp(bad, backend="numpy", basis=basis)
-    cold = solve_lp(bad, backend="numpy")
+    warm = solve_lp(bad, basis=basis)
+    cold = solve_lp(bad)
     assert warm.status is cold.status is SolveStatus.INFEASIBLE
     assert warm.basis is None and not warm.stats.warm_start
     assert warm.stats.iterations > cold.stats.iterations
@@ -555,8 +555,8 @@ def test_singular_basis_falls_back_to_the_crash():
     basic = n + np.arange(m)
     basic[n] = n // 2
     assert problem.A[n, n // 2] == 0.0
-    warm = solve_lp(problem, backend="numpy", basis=(basic, np.zeros(n, bool)))
-    cold = solve_lp(problem, backend="numpy")
+    warm = solve_lp(problem, basis=(basic, np.zeros(n, bool)))
+    cold = solve_lp(problem)
     assert warm.status is SolveStatus.OPTIMAL and not warm.stats.warm_start
     assert warm.stats.iterations == cold.stats.iterations
     assert np.array_equal(warm.x, cold.x)
@@ -565,7 +565,7 @@ def test_singular_basis_falls_back_to_the_crash():
 def test_basis_of_the_wrong_shape_raises():
     problem = _ramp_lp()
     m, n = problem.A.shape
-    basic, at_ub = solve_lp(problem, backend="numpy").basis
+    basic, at_ub = solve_lp(problem).basis
     dup = basic.copy()
     dup[0] = dup[1]
     for bad in ((basic[:-1], at_ub), (basic, at_ub[:-1]), basic,
@@ -573,14 +573,14 @@ def test_basis_of_the_wrong_shape_raises():
                 (basic, at_ub.astype(int)), (dup, at_ub),
                 (np.where(basic == basic.max(), n + m, basic), at_ub)):
         with pytest.raises(ValueError):
-            solve_lp(problem, backend="numpy", basis=bad)
+            solve_lp(problem, basis=bad)
 
 
 def test_warm_start_needs_fewer_iterations_than_cold():
     problem = _ramp_lp(tau=0.5)
-    basis = solve_lp(_ramp_lp(tau=1.0), backend="numpy").basis
-    warm = solve_lp(problem, backend="numpy", basis=basis)
-    cold = solve_lp(problem, backend="numpy")
+    basis = solve_lp(_ramp_lp(tau=1.0)).basis
+    warm = solve_lp(problem, basis=basis)
+    cold = solve_lp(problem)
     assert warm.stats.warm_start and not cold.stats.warm_start
     assert warm.stats.iterations < cold.stats.iterations / 4
     assert abs(warm.objective - cold.objective) <= 1e-12
