@@ -191,8 +191,8 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def test_config_with_removed_backend_key_still_runs(tmp_path):
-    # [run] backend chose between two solver kernels; only one is left,
-    # and the key is now ignored like any other unknown key
+    # config files written for earlier versions may still set the key;
+    # it is ignored like any other unknown key
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nbackend = numba\n")
     assert cli.main(["storage", "--config", str(cfg),
