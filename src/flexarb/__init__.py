@@ -9,7 +9,8 @@ benchmark, price-signal I/O, a brute-force dynamic-programming oracle for
 cross-checking, and a CLI that writes plot-ready CSV/JSON artifacts.
 
 Solves run on a self-contained bounded-variable revised simplex written in
-numpy, which warm-starts the solves of a ramp-rate sweep from the basis of
+numpy.  It starts a storage LP with ramp rows from the optimum of the LP
+without them, and each later solve of a ramp-rate sweep from the basis of
 the one before.
 """
 
@@ -67,6 +68,7 @@ from .analysis import (
     equivalent_full_cycles,
     monte_carlo_run,
     ramp_rate_sweep,
+    solve_storage_day,
     switching_count,
     write_mc_json,
     write_sweep_csv,
@@ -119,6 +121,7 @@ __all__ = [
     "save_price_csv",
     "save_price_json",
     "solve_lp",
+    "solve_storage_day",
     "solve_storage_oracle",
     "step_cost_segments",
     "switching_count",

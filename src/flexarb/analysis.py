@@ -1,4 +1,4 @@
-"""Sensitivity sweeps, cycle counting, and the Monte Carlo benchmark.
+"""Storage-day solves, sensitivity sweeps, cycle counting, Monte Carlo.
 
 Gains follow the sign convention profit-positive: a storage schedule's gain
 is minus its total cost, a flexibility schedule's gain is the nominal cost
@@ -75,22 +75,63 @@ class SweepResult:
         return -self.objective
 
 
+def solve_storage_day(params: StorageParams, prices: PriceSignal,
+                      include_ramp_rate: bool = True,
+                      basis: tuple = None) -> LpSolution:
+    """Build the storage LP of one price day and solve it.
+
+    ``include_ramp_rate`` is passed to ``build_storage_lp`` and ``basis``
+    to ``solve_lp``.  An LP with ramp rows and no basis is solved in two
+    stages.  Its ramp-free relaxation, the same columns and its first 4N
+    rows, is solved first.  The full LP then starts from that optimum with
+    the ramp rows' slacks basic, and the dual phase repairs only the ramp
+    rows the relaxed optimum violates.  If the relaxation is not optimal,
+    the full LP is solved cold.  The returned stats count the iterations
+    and solve time of both stages; ``warm_start`` is the last solve's.
+    """
+    problem = build_storage_lp(params, prices, include_ramp_rate)
+    if basis is not None or not include_ramp_rate:
+        return solve_lp(problem, basis=basis)
+    relaxed = solve_lp(build_storage_lp(params, prices,
+                                        include_ramp_rate=False))
+    if relaxed.status is SolveStatus.OPTIMAL:
+        basic, at_ub = relaxed.basis
+        ramp_slacks = problem.n_cols + np.arange(basic.size, problem.n_rows)
+        basis = (np.concatenate([basic, ramp_slacks]), at_ub)
+    sol = solve_lp(problem, basis=basis)
+    stats = replace(
+        sol.stats,
+        iterations=relaxed.stats.iterations + sol.stats.iterations,
+        wall_time_s=relaxed.stats.wall_time_s + sol.stats.wall_time_s)
+    return replace(sol, stats=stats)
+
+
+def _fractions(fractions) -> np.ndarray:
+    """Ramp-rate fractions as an array; ValueError unless they ascend
+    strictly within (0, 1]."""
+    fr = np.asarray(fractions, dtype=float)
+    if fr.ndim != 1 or fr.size == 0:
+        raise ValueError("fractions must be a non-empty 1-D sequence")
+    bad = fr[~((fr > 0) & (fr <= 1))]
+    if bad.size:
+        raise ValueError(
+            f"fractions must lie in (0, 1], got {float(bad[0])}")
+    if (np.diff(fr) <= 0).any():
+        raise ValueError("fractions must be strictly ascending")
+    return fr
+
+
 def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
                     fractions) -> SweepResult:
     """Solve the storage model at each ramp-rate fraction of the swing limit.
 
     The LPs are solved from the top fraction down, each from the optimal
-    basis of the one before, so only the first is solved cold: the top
-    fraction, or the reference solve at 1.0 when 1.0 is not among the
-    fractions.  The results stay in ascending order.
+    basis of the one before.  The first, the top fraction or the reference
+    solve at 1.0 when 1.0 is not among the fractions, starts from the
+    optimum of its ramp-free relaxation (``solve_storage_day``), so no LP
+    with ramp rows is solved cold.  The results stay in ascending order.
     """
-    fr = np.asarray(fractions, dtype=float)
-    if fr.ndim != 1 or fr.size == 0:
-        raise ValueError("fractions must be a non-empty 1-D sequence")
-    if (fr <= 0).any() or (fr > 1).any():
-        raise ValueError("fractions must lie in (0, 1]")
-    if (np.diff(fr) <= 0).any():
-        raise ValueError("fractions must be strictly ascending")
+    fr = _fractions(fractions)
 
     h = prices.h
     objective = np.empty(fr.size)
@@ -99,7 +140,7 @@ def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
     gain_ref = None
     if fr[-1] != 1.0:
         p_1 = params.with_ramp_rate_fraction(1.0, h)
-        sol = solve_lp(build_storage_lp(p_1, prices))
+        sol = solve_storage_day(p_1, prices)
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(
                 f"reference solve failed: {sol.status.value}")
@@ -110,7 +151,7 @@ def ramp_rate_sweep(params: StorageParams, prices: PriceSignal,
     for k in range(fr.size - 1, -1, -1):
         phi = fr[k]
         p_k = params.with_ramp_rate_fraction(float(phi), h)
-        sol = solve_lp(build_storage_lp(p_k, prices), basis=basis)
+        sol = solve_storage_day(p_k, prices, basis=basis)
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(
                 f"sweep solve failed at fraction {phi}: {sol.status.value}")
@@ -140,12 +181,17 @@ def xc_yc_sweep(params: StorageParams, prices: PriceSignal, c_rates,
 
     The swing limit is re-derived from the rating (delta_max = c * b_max,
     symmetric discharge) while capacity and efficiencies stay fixed.  Each
-    c-rate's sweep chains its solves as ``ramp_rate_sweep`` does.
+    c-rate's sweep chains its solves as ``ramp_rate_sweep`` does.  Every
+    c-rate and fraction is checked before the first solve.
     """
+    c_rates = np.asarray(c_rates, dtype=float)
+    bad = c_rates[~((c_rates > 0) & np.isfinite(c_rates))]
+    if bad.size:
+        raise ValueError(
+            f"c-rates must be finite and > 0, got {float(bad[0])}")
+    _fractions(fractions)
     out = []
-    for c in np.asarray(c_rates, dtype=float):
-        if c <= 0:
-            raise ValueError(f"c-rates must be > 0, got {c}")
+    for c in c_rates:
         rated = float(c * params.b_max)
         p_c = replace(params, delta_min=-rated, delta_max=rated,
                       tau_min=None, tau_max=None)
@@ -215,8 +261,8 @@ def monte_carlo_run(base_params: StorageParams, price_generator,
         t0 = time.perf_counter()
         try:
             prices = price_generator(child_seeds[i])
-            sol = solve_lp(build_storage_lp(base_params, prices,
-                                            include_ramp_rate=rate_rows))
+            sol = solve_storage_day(base_params, prices,
+                                    include_ramp_rate=rate_rows)
             if sol.status is SolveStatus.OPTIMAL:
                 objectives[i] = sol.objective
             else:

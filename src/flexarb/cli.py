@@ -80,13 +80,16 @@ import numpy as np
 from . import __version__
 from .analysis import (arbitrage_gain, equivalent_full_cycles, mc_to_dict,
                        monte_carlo_run, default_price_generator,
-                       ramp_rate_sweep, sweep_to_dict, switching_count,
-                       write_sweep_csv, write_sweep_json, xc_yc_sweep)
+                       ramp_rate_sweep, solve_storage_day, sweep_to_dict,
+                       switching_count, write_sweep_csv, write_sweep_json,
+                       xc_yc_sweep)
 from .flexibility import (FlexParamError, FlexParams, build_flex_lp,
                           extract_flex_schedule, nominal_profile)
 from .lp import LpValidationError, SolveStatus, solve_lp
 from .pricing import (PriceSignal, PriceSignalError, load_price_csv,
                       load_price_json, sample_day)
+# build_storage_lp is not called here; it stays importable because
+# perfbench/spans.py wraps it at this call site
 from .storage import (StorageParamError, StorageParams, build_storage_lp,
                       extract_storage_schedule)
 
@@ -365,9 +368,9 @@ def _summary(mode, run, prices_name, n_steps, params, solution=None,
     return doc
 
 
-def _solve_or_die(problem):
+def _solve_or_die(solve, *args):
     try:
-        solution = solve_lp(problem)
+        solution = solve(*args)
     except LpValidationError as exc:
         raise CliError(EXIT_SOLVER, "solver", str(exc)) from exc
     if solution.status is not SolveStatus.OPTIMAL:
@@ -396,7 +399,7 @@ def _cmd_storage(args, cfg, run) -> int:
     params = _resolve_storage(args, cfg, prices.h)
     run_dir = _ensure_run_dir(run["out"], "storage")
     t0 = time.perf_counter()
-    solution = _solve_or_die(build_storage_lp(params, prices))
+    solution = _solve_or_die(solve_storage_day, params, prices)
     schedule = extract_storage_schedule(solution, params, prices)
     wall = time.perf_counter() - t0
     _storage_schedule_files(schedule, run_dir, run["format"])
@@ -417,7 +420,7 @@ def _cmd_flex(args, cfg, run) -> int:
     params = _resolve_flex(args, cfg, prices.h, len(prices))
     run_dir = _ensure_run_dir(run["out"], "flex")
     t0 = time.perf_counter()
-    solution = _solve_or_die(build_flex_lp(params, prices))
+    solution = _solve_or_die(solve_lp, build_flex_lp(params, prices))
     schedule = extract_flex_schedule(solution, params, prices)
     nominal = nominal_profile(params, prices)
     wall = time.perf_counter() - t0

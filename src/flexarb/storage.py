@@ -175,9 +175,9 @@ def build_storage_lp(params: StorageParams, prices: PriceSignal,
     """Assemble the arbitrage LP for one price day.
 
     With include_ramp_rate=False the two difference-matrix blocks are left
-    out (the swing limits stay enforced through the variable bounds); this
-    variant exists to show the boundary case tau = (X_min, X_max) changes
-    nothing when consecutive swings cannot exceed tau anyway.
+    out (the swing limits stay enforced through the variable bounds).  The
+    first 4N rows and the columns are the same either way, so that LP is
+    the ramp-free relaxation ``analysis.solve_storage_day`` solves first.
     """
     n = len(prices)
     h = prices.h

@@ -10,11 +10,12 @@ from flexarb import analysis
 from flexarb.analysis import (McReport, arbitrage_gain, default_price_generator,
                               equivalent_full_cycles, mc_to_dict,
                               monte_carlo_run, ramp_rate_sweep,
-                              sweep_to_dict, switching_count, write_mc_json,
+                              solve_storage_day, sweep_to_dict,
+                              switching_count, write_mc_json,
                               write_sweep_csv, write_sweep_json, xc_yc_sweep)
 from flexarb.flexibility import FlexParams, build_flex_lp, \
     extract_flex_schedule, nominal_profile
-from flexarb.lp import solve_lp
+from flexarb.lp import LpSolution, SolveStats, SolveStatus, solve_lp
 from flexarb.pricing import PriceShape, PriceSignal, synthetic_day
 from flexarb.storage import (StorageParams, StorageSchedule,
                              build_storage_lp, check_storage_schedule,
@@ -121,6 +122,29 @@ def test_sweep_fraction_validation():
         ramp_rate_sweep(params, prices, [0.5, 1.2])
     with pytest.raises(ValueError):
         ramp_rate_sweep(params, prices, [0.5, 0.3])
+
+
+@pytest.mark.parametrize("c_rates, fractions, bad", [
+    ([1.0], [np.nan, 0.5, 1.0], "nan"),
+    ([1.0], [0.5, np.inf], "inf"),
+    ([1.0, -1.0], [0.5, 1.0], "-1.0"),
+    ([1.0, np.inf], [0.5, 1.0], "inf"),
+    ([np.nan], [1.0], "nan"),
+])
+def test_bad_sweep_inputs_are_rejected_before_any_solve(c_rates, fractions,
+                                                        bad, monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "solve_lp",
+                        lambda *args, **kwargs: calls.append(args))
+    prices = synthetic_day(1, n_steps=8)
+    params = StorageParams(b_min=0.0, b_max=1.0, b_0=0.5, delta_min=-1.0,
+                           delta_max=1.0)
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        xc_yc_sweep(params, prices, c_rates, fractions)
+    if c_rates == [1.0]:  # bad fractions alone
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            ramp_rate_sweep(params, prices, fractions)
+    assert calls == []
 
 
 def test_xcyc_grid_shape_and_reference():
@@ -309,15 +333,19 @@ def test_sweep_warm_starts_every_solve_after_the_first(monkeypatch):
     monkeypatch.setattr(analysis, "solve_lp", recording_solve)
     prices = synthetic_day(5, 96, 0.25)
     ramp_rate_sweep(BATTERY, prices, [0.1, 0.25, 0.5, 1.0])
-    assert [sol.stats.warm_start for _, sol in calls] == [False] + [True] * 3
+    # the cold root is the top LP's ramp-free relaxation (4N rows); every
+    # LP with ramp rows (6N rows) starts warm
+    assert [p.n_rows for p, _ in calls] == [4 * 96] + [6 * 96] * 4
+    assert [sol.stats.warm_start for _, sol in calls] == [False] + [True] * 4
     for problem, sol in calls[1:]:
         cold = solve_lp(problem)
         assert sol.stats.iterations < cold.stats.iterations
-    # without 1.0 among the fractions the reference solve is the cold root
+    # without 1.0 among the fractions the reference solve at 1.0 comes first
     calls.clear()
     result = ramp_rate_sweep(BATTERY, prices, [0.25, 0.5])
-    assert [sol.stats.warm_start for _, sol in calls] == [False, True, True]
-    assert result.solution is calls[1][1]
+    assert [p.n_rows for p, _ in calls] == [4 * 96] + [6 * 96] * 3
+    assert [sol.stats.warm_start for _, sol in calls] == [False] + [True] * 3
+    assert result.solution is calls[2][1]
 
 
 def test_mc_solves_the_model_without_ramp_rows():
@@ -334,3 +362,119 @@ def test_mc_solves_the_model_without_ramp_rows():
         at_x = solve_lp(build_storage_lp(BATTERY, day))
         assert report.objectives[i] == free.objective
         assert at_x.objective > free.objective + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# staged solve: ramp-free relaxation, then the ramp rows by the dual phase
+# ---------------------------------------------------------------------------
+
+
+def _recording(monkeypatch):
+    """The solve_lp calls made through the analysis module, as
+    (problem, kwargs, solution) triples."""
+    calls = []
+
+    def recording_solve(problem, **kwargs):
+        calls.append((problem, kwargs, solve_lp(problem, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(analysis, "solve_lp", recording_solve)
+    return calls
+
+
+@pytest.mark.parametrize("label, params, prices, fixed",
+                         list(_sweep_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_staged_solve_matches_cold_solves_and_highs(label, params, prices,
+                                                    fixed, monkeypatch):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    calls = _recording(monkeypatch)
+    for phi in SWEEP_FRACTIONS:
+        p_k = params.with_ramp_rate_fraction(phi, prices.h)
+        calls.clear()
+        staged = solve_storage_day(p_k, prices)
+        problem = build_storage_lp(p_k, prices)
+        cold = solve_lp(problem)
+        ref = linprog(problem.f, A_ub=problem.A, b_ub=problem.b,
+                      bounds=list(zip(problem.lb, problem.ub)),
+                      method="highs").fun
+        assert [c[0].n_rows for c in calls] == [4 * 96, 6 * 96]
+        assert staged.stats.warm_start
+        assert abs(staged.objective - cold.objective) <= 1e-9, phi
+        assert abs(staged.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+        sched = extract_storage_schedule(staged, p_k, prices)
+        assert check_storage_schedule(sched, p_k, prices.h) == []
+        assert abs(sched.total_cost - cold.objective) <= 1e-9
+
+
+def test_staged_solve_stats_add_up_both_stages(monkeypatch):
+    calls = _recording(monkeypatch)
+    staged = solve_storage_day(BATTERY, synthetic_day(5, 96, 0.25))
+    relaxed, full = (c[2] for c in calls)
+    assert staged.stats.iterations == (relaxed.stats.iterations
+                                       + full.stats.iterations)
+    assert staged.stats.wall_time_s == (relaxed.stats.wall_time_s
+                                        + full.stats.wall_time_s)
+    assert staged.stats.warm_start is full.stats.warm_start is True
+    assert staged.stats.max_residual == full.stats.max_residual
+    assert np.array_equal(staged.x, full.x)
+    assert all(map(np.array_equal, staged.basis, full.basis))
+    # the relaxed basis, with the 2N ramp rows' slacks appended as basic
+    basic, at_ub = relaxed.basis
+    assert np.array_equal(calls[1][1]["basis"][0],
+                          np.concatenate([basic, 192 + np.arange(384, 576)]))
+    assert calls[1][1]["basis"][1] is at_ub
+
+
+def test_staged_solve_repairs_nothing_when_ramp_rows_cannot_bind(
+        monkeypatch):
+    # X = 2 kWh per step is more than twice the 0.8 kWh usable, so the
+    # relaxed optimum already meets every ramp row
+    params = replace(BATTERY, delta_min=-8.0, delta_max=8.0)
+    calls = _recording(monkeypatch)
+    for seed in range(3):
+        calls.clear()
+        staged = solve_storage_day(params, synthetic_day(seed, 96, 0.25))
+        full = calls[1][2]
+        assert full.stats.warm_start
+        assert full.stats.iterations == 0
+        assert staged.stats.iterations == calls[0][2].stats.iterations
+
+
+@pytest.mark.parametrize("failure", [SolveStatus.INFEASIBLE,
+                                     SolveStatus.NUMERICAL_FAILURE])
+def test_staged_solve_after_a_failed_relaxation_is_the_cold_solve(
+        failure, monkeypatch):
+    calls = []
+
+    def solve(problem, **kwargs):
+        calls.append(kwargs)
+        if problem.n_rows == 4 * 96:
+            return LpSolution(np.full(problem.n_cols, np.nan), np.nan,
+                              failure, SolveStats(7, 0.0, np.nan))
+        return solve_lp(problem, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_lp", solve)
+    prices = synthetic_day(5, 96, 0.25)
+    staged = solve_storage_day(BATTERY, prices)
+    cold = solve_lp(build_storage_lp(BATTERY, prices))
+    assert calls == [{}, {"basis": None}]
+    assert staged.status is cold.status
+    assert staged.objective == cold.objective
+    assert not staged.stats.warm_start
+    assert staged.stats.iterations == 7 + cold.stats.iterations
+
+
+def test_staged_solve_passes_a_given_basis_straight_through(monkeypatch):
+    prices = synthetic_day(5, 96, 0.25)
+    top = solve_lp(build_storage_lp(BATTERY, prices))
+    calls = _recording(monkeypatch)
+    half = BATTERY.with_ramp_rate_fraction(0.5, prices.h)
+    sol = solve_storage_day(half, prices, basis=top.basis)
+    assert len(calls) == 1 and calls[0][1]["basis"] is top.basis
+    assert sol is calls[0][2]
+    # without ramp rows there is nothing to stage
+    calls.clear()
+    sol = solve_storage_day(BATTERY, prices, include_ramp_rate=False)
+    assert [c[0].n_rows for c in calls] == [4 * 96]
+    assert sol is calls[0][2]

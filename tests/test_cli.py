@@ -103,7 +103,11 @@ def test_sweep_solves_each_fraction_once(tmp_path, monkeypatch):
         monkeypatch.setattr(f"{module}.solve_lp", counting_solve)
     rc = cli.main(["sweep", "--fractions", "0.5,1.0", "--out", str(tmp_path)])
     assert rc == 0
-    assert len(calls) == 2
+    # the top LP's ramp-free relaxation (4N rows), then one solve of each
+    # fraction's LP (6N rows), the two differing in the ramp rows' bounds
+    n = calls[0].n_cols // 2
+    assert [p.n_rows for p in calls] == [4 * n, 6 * n, 6 * n]
+    assert not np.array_equal(calls[1].b, calls[2].b)
     summary = _summary(tmp_path / "sweep")
     rows = _read_csv(tmp_path / "sweep" / "schedule.csv")
     cost = sum(float(r["cost"]) for r in rows)
@@ -225,14 +229,34 @@ def test_bad_params_exit_2(tmp_path, capsys):
     assert _stderr_error(capsys)["kind"] == "params"
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["sweep", "--fractions", "nan 0.5 1.0"], "nan"),
+    (["xcyc", "--c-rates", "1 -1"], "-1.0"),
+    (["xcyc", "--c-rates", "1 inf"], "inf"),
+    (["xcyc", "--fractions", "0.5 nan"], "nan"),
+])
+def test_bad_sweep_values_exit_2_before_any_solve(argv, bad, tmp_path,
+                                                  capsys, monkeypatch):
+    calls = []
+    for module in ("flexarb.cli", "flexarb.analysis"):
+        monkeypatch.setattr(f"{module}.solve_lp",
+                            lambda *args, **kwargs: calls.append(args))
+    rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config"
+    assert err["message"].endswith(f"got {bad}")
+    assert calls == []
+
+
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
-    def fake_solve(problem):
+    def fake_solve(problem, basis=None):
         stats = SolveStats(iterations=0, wall_time_s=0.0,
                            max_residual=np.inf)
         return LpSolution(x=np.zeros(problem.f.size), objective=np.nan,
                           status=SolveStatus.INFEASIBLE, stats=stats)
 
-    monkeypatch.setattr(cli, "solve_lp", fake_solve)
+    monkeypatch.setattr("flexarb.analysis.solve_lp", fake_solve)
     rc = cli.main(["storage", "--out", str(tmp_path)])
     assert rc == 3
     err = _stderr_error(capsys)

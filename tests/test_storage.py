@@ -73,6 +73,27 @@ def test_matrix_block_layout_n2():
     assert problem.b[9] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("tau", [None, 0.05])
+def test_ramp_rows_come_after_the_ramp_free_lp(tau):
+    # the staged solve starts the full LP from the ramp-free optimum, which
+    # needs the first 4N rows and the columns to be the same in both LPs
+    prices = synthetic_day(3, n_steps=12)
+    params = StorageParams(b_min=0.1, b_max=0.9, b_0=0.4, delta_min=-0.6,
+                           delta_max=0.4, eta_ch=0.9, eta_dis=0.95,
+                           tau_min=None if tau is None else -tau,
+                           tau_max=tau)
+    full = build_storage_lp(params, prices)
+    free = build_storage_lp(params, prices, include_ramp_rate=False)
+    n = len(prices)
+    assert full.A.shape == (6 * n, 2 * n) and free.A.shape == (4 * n, 2 * n)
+    assert np.array_equal(full.A[:4 * n], free.A)
+    assert np.array_equal(full.b[:4 * n], free.b)
+    assert full.row_labels[:4 * n] == free.row_labels
+    for name in ("f", "lb", "ub"):
+        assert np.array_equal(getattr(full, name), getattr(free, name))
+    assert full.col_labels == free.col_labels
+
+
 def test_full_battery_cannot_absorb():
     prices = two_step_prices()
     params = simple_battery(b_0=1.0)
