@@ -1,38 +1,44 @@
 """Bounded-variable revised simplex.
 
 ``simplex_numpy`` solves  min c.x  s.t.  A x <= b,  lb <= x <= ub  after
-the caller has row-equilibrated A.  Slack and artificial variables are
-handled implicitly (unit columns).  Of the basis inverse it keeps only
+the caller has row-equilibrated A.  Slack variables are handled
+implicitly (unit columns).  Of the basis inverse it keeps only
 K = inv(A[T, S]), the k x k block belonging to the k basic structural
-columns (k <= min(m, n)); the slack and artificial columns of the other
-rows are applied implicitly (see ``_ReducedBasis``).  Storage LPs have
-2-3x more rows than columns and k stays well below m, so a pivot costs
-O(k^2 + m k) instead of O(m^2).
+columns (k <= min(m, n)); the slack columns of the other rows are applied
+implicitly (see ``_ReducedBasis``).  Storage LPs have 2-3x more rows than
+columns and k stays well below m, so a pivot costs O(k^2 + m k) instead
+of O(m^2).
 
-Entering variables are picked by Dantzig pricing with a switch to Bland's
-rule after a run of degenerate pivots, so the iteration is finite and
-deterministic; leaving ones by a two-pass Harris ratio test with bounds
-relaxed by 1e-9.  A leaving variable that the ratio test snaps onto a
-bound it had already crossed moves the basic values with it, and the
-final basic values are solved afresh from A[T, S] at the optimum.
+A solve starts from an elastic-column crash basis (``_crash``) or from a
+given basis, such as the optimal basis of an LP that differs in ``b`` (the
+next point of a ramp-rate sweep).  The crash makes columns that only relax
+their rows as they grow toward a huge bound, such as the epigraph columns
+t_i of the storage and flex LPs, basic in their binding rows and rests the
+other columns on the bounds that leave the fewest violations; a storage LP
+without ramp rows then starts primal-feasible and goes straight to the
+primal simplex (phase 2).
 
-A cold solve starts from an elastic-column crash basis (``_crash``):
-columns that only relax their rows as they grow toward a huge bound, such
-as the epigraph columns t_i of the storage and flex LPs, start basic in
-their binding rows, the other columns rest on the bounds that leave the
-fewest violations, free columns rest at zero, and each row still violated
-gets an artificial.  Storage LPs without ramp rows then start
-primal-feasible and flex LPs miss at most their deadline rows, so phase 1
-is short or absent.
+Every other start reaches primal feasibility by one route, the bounded
+dual simplex of ``_dual_phase``.  Boxed nonbasic columns first move to the
+bounds their reduced costs ask for.  ``solve_lp``'s bound tightening boxes
+every column of the storage and flex LPs, and on every one tested that
+alone has made the start dual-feasible.  A variable still dual-infeasible (a slack, or a
+column with an infinite or huge bound) has its cost shifted until its
+reduced cost is zero, and the dual simplex runs with those costs; phase 2
+then continues from its primal-feasible basis with the true costs.  An
+infeasible LP is reported by the dual phase, since primal feasibility does
+not depend on the costs.  The dual ratio test flips boxed columns past
+their breakpoints while the leaving row stays infeasible (bound flipping),
+so one dual iteration can move many columns.
 
-A warm solve starts from a given basis, such as the optimal basis of an LP
-that differs in ``b`` (the next point of a ramp-rate sweep).  It factors
-that basis and flips boxed columns to the bounds their reduced costs ask
-for.  A primal-feasible basis then goes straight to phase 2.  A
-dual-feasible one first runs a bounded dual simplex phase
-(``_dual_phase``) until it is primal-feasible.  A singular basis, or one
-that is neither, is dropped for the crash start.  Every solve returns its
-final basis in the crash's layout for the next solve.
+Phase 2 picks entering variables by Dantzig pricing with a switch to
+Bland's rule after a run of degenerate pivots, so the iteration is finite
+and deterministic; leaving ones by a two-pass Harris ratio test with
+bounds relaxed by 1e-9.  A leaving variable that the ratio test snaps onto
+a bound it had already crossed moves the basic values with it, and the
+final basic values are solved afresh from A[T, S] at the optimum.  A
+singular given basis is dropped for the crash start.  Every solve returns
+its final basis in the crash's layout for the next solve.
 
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 numerical failure.
 """
@@ -50,39 +56,37 @@ NUMERICAL_FAILURE = 3
 _BASIC = 0
 _AT_LB = 1
 _AT_UB = 2
-_LOCKED = 3  # artificial that is out of play
+_FREE = 3  # free structural resting at zero, off any bound
 
 _TOL_D = 1e-9       # reduced-cost optimality tolerance
-_TOL_PIV = 1e-7     # pivot magnitude below which we try to avoid pivoting
 _EPS_A = 1e-10      # column entries below this are treated as exact zeros
-_RELAX = 1e-9       # Harris ratio-test bound relaxation per row
+_RELAX = 1e-9       # primal feasibility tolerance and Harris bound relaxation
 _TINY_PIV = 1e-11   # hard floor: pivoting on less than this is failure
 _DEGEN_EPS = 1e-12  # step sizes below this count as degenerate
 _BLAND_AFTER = 50   # consecutive degenerate pivots before Bland's rule
-_HUGE_BND = 1e8     # crash avoids resting variables beyond this magnitude
-_CRASH_TOL = 1e-12  # crash: rows violated by less than this need no artificial
+_HUGE_BND = 1e8     # bounds beyond this are huge: the crash avoids them and
+                    # no column flips to one
 
 
 class _ReducedBasis:
     """Basis inverse kept as the k x k block K = inv(A[T, S]).
 
-    S lists the k basic structural columns and T the k rows whose logical
-    is nonbasic.  Every other row i (the set R) has a basic logical with
-    column sigma_i e_i: +1 for a slack, -1 for an artificial.  With rows
+    S lists the k basic structural columns and T the k rows whose slack is
+    nonbasic.  Every other row (the set R) has its slack basic.  With rows
     ordered (T, R) and basic columns (S, R),
 
-        B^-1 = [[K, 0], [-D A_RS K, D]],   D = diag(sigma_R),
+        B^-1 = [[K, 0], [-A_RS K, I]],
 
     so FTRAN, BTRAN and each basis change cost O(k^2 + m k), not O(m^2).
     Vectors in and out are in basis-position order, as with an explicit
     inverse; the S and T orders inside K are private.  ``prow`` and
-    ``ppos`` link each logical's position and row.  Their entries for
-    structural positions and rows of T go stale: ``solve`` overwrites the
-    former, and ``btran`` multiplies the latter by sigma = 0.
+    ``ppos`` link each slack's position and row.  Their entries for
+    structural positions and rows of T go stale: ``solve`` and ``btran``
+    overwrite what they read there.
     """
 
     def __init__(self, A, basic):
-        """Position i of ``basic`` holds row i's logical or a structural
+        """Position i of ``basic`` holds row i's slack or a structural
         column whose row of T is i.  K is diag(1/a) when A[T, S] is
         diagonal, as the crash leaves it, and a fresh inverse otherwise;
         a singular A[T, S] raises ``np.linalg.LinAlgError``."""
@@ -97,11 +101,9 @@ class _ReducedBasis:
         self.trow = np.empty(cap, np.int64)   # T rows, in K's column order
         self.sidx = np.full(m, -1, np.int64)  # S index per position, or -1
         self.tidx = np.full(m, -1, np.int64)  # T index per row, or -1
-        # logicals start in their own row's position
-        self.prow = np.arange(m)              # row of a position's logical
-        self.ppos = np.arange(m)              # position of a row's logical
-        # sigma of each row's basic logical; 0 for a row of T
-        self.rsig = np.where(basic < n + m, 1.0, -1.0)
+        # slacks start in their own row's position
+        self.prow = np.arange(m)              # row of a position's slack
+        self.ppos = np.arange(m)              # position of a row's slack
         rows = np.flatnonzero(basic < n)
         k = self.k = rows.size
         cols = basic[rows]
@@ -111,7 +113,6 @@ class _ReducedBasis:
         self.trow[:k] = rows
         self.sidx[rows] = ks
         self.tidx[rows] = ks
-        self.rsig[rows] = 0.0
         ATS = A[np.ix_(rows, cols)]
         diag = ATS.diagonal()
         if diag.all() and np.count_nonzero(ATS) == k:
@@ -130,7 +131,7 @@ class _ReducedBasis:
             wS = np.linalg.solve(self.SA[:k, self.trow[:k]].T, aT) + 0.0
         else:
             wS = self.K[:k, :k] @ aT
-        w = (self.rsig * (a - wS @ self.SA[:k]))[self.prow]
+        w = (a - wS @ self.SA[:k])[self.prow]
         w[self.spos[:k]] = wS
         return w
 
@@ -145,7 +146,8 @@ class _ReducedBasis:
     def btran(self, cB):
         """cB . B^-1 with cB in position order; the result is over rows."""
         k = self.k
-        y = cB[self.ppos] * self.rsig
+        y = cB[self.ppos]
+        y[self.trow[:k]] = 0.0
         t = cB[self.spos[:k]]
         if y.any():
             t = t - self.SA[:k] @ y
@@ -154,7 +156,7 @@ class _ReducedBasis:
 
     def row(self, p):
         """Row p of B^-1: K's row placed on the T rows for a structural
-        position, the row of a logical's row otherwise."""
+        position, the row of a slack's row otherwise."""
         k = self.k
         beta = np.zeros(self.m)
         s = self.sidx[p]
@@ -162,15 +164,13 @@ class _ReducedBasis:
             beta[self.trow[:k]] = self.K[s, :k]
             return beta
         i = self.prow[p]
-        s = self.rsig[i]
-        beta[self.trow[:k]] = -s * (self.SA[:k, i] @ self.K[:k, :k])
-        beta[i] = s
+        beta[self.trow[:k]] = -(self.SA[:k, i] @ self.K[:k, :k])
+        beta[i] = 1.0
         return beta
 
     def canonical(self, basic):
-        """The basis in the crash's layout: row i's logical at position i,
-        an artificial mapped to its row's slack, and each basic
-        structural at the position of its T row."""
+        """The basis in the crash's layout: row i's slack at position i,
+        and each basic structural at the position of its T row."""
         k = self.k
         out = self.n + np.arange(self.m)
         out[self.trow[:k]] = basic[self.spos[:k]]
@@ -199,10 +199,10 @@ class _ReducedBasis:
                 K -= np.outer(wS, K[s])
                 self.SA[s] = self.At[q]
                 return
-            # structural for the logical of row r: border A[T, S] with
-            # row r and column q; g is the Schur complement
+            # structural for the slack of row r: border A[T, S] with row r
+            # and column q; w[p] is the Schur complement
             r = self.prow[p]
-            g = self.rsig[r] * w[p]
+            g = w[p]
             z = (self.SA[:k, r] @ K) / g
             K += np.outer(wS, z)
             self.K[:k, k] = -wS / g
@@ -213,12 +213,12 @@ class _ReducedBasis:
             self.sidx[p] = k
             self.trow[k] = r
             self.tidx[r] = k
-            self.rsig[r] = 0.0
             self.k = k + 1
             return
+        # a nonbasic slack belongs to a row of T
         i = q - self.n
         ti = self.tidx[i]
-        if ti >= 0 and s >= 0:
+        if s >= 0:
             # slack of T row i for structural s: drop row i and column s
             # from A[T, S], then move the last S and T entries into the gaps
             K -= np.outer(K[:, ti] / w[p], K[s])
@@ -231,31 +231,25 @@ class _ReducedBasis:
             self.trow[ti] = self.trow[last]
             self.tidx[self.trow[ti]] = ti
             self.sidx[p] = -1
-            self.tidx[i] = -1
             self.k = last
-        elif ti >= 0:
-            # slack of T row i for the logical of row j: row i of A[T, S]
+        else:
+            # slack of T row i for the slack of row j: row i of A[T, S]
             # becomes row j (Sherman-Morrison)
             j = self.prow[p]
             z = self.SA[:k, j] @ K
             z[ti] -= 1.0
-            K -= np.outer(wS / (-self.rsig[j] * w[p]), z)
+            K += np.outer(wS / w[p], z)
             self.trow[ti] = j
             self.tidx[j] = ti
-            self.tidx[i] = -1
-            self.rsig[j] = 0.0
-        # else the slack replaces the artificial of its own row
-        self.rsig[i] = 1.0
+        self.tidx[i] = -1
         self.prow[p] = i
         self.ppos[i] = p
 
 
-_FREE = 4  # free structural resting at zero, off any bound
-
 #: Pricing sign per variable state: the score, sign times reduced cost, is
 #: positive where moving off the bound lowers the cost.  A free column's
 #: score is |d| and is set apart.
-_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0, 0.0])
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 
 
 def _scores(d, vstat, movable, has_free=True):
@@ -289,15 +283,14 @@ def _crash(A, b, lb, ub):
        negative, would take the column beyond ``_HUGE_BND`` (past its far
        bound), or another elastic column shares one of its rows.  The
        claimed rows form T and A[T, S] is diagonal.
-    4. Every other row gets its slack, or an artificial if it is still
-       violated.
+    4. Every other row gets its slack, basic at the row's residual, which
+       is negative where the row is still violated.
 
-    Returns (vstat, xval, basic, xB): states and values over structurals,
-    slacks and artificials, and the basic variable and value at each
-    position, where row i's logical or the column that claimed row i sits.
+    Returns (vstat, xval, basic, xB): states and values over structurals
+    and slacks, and the basic variable and value at each position, where
+    row i's slack or the column that claimed row i sits.
     """
     m, n = A.shape
-    n_tot = n + 2 * m
     lo_ok = np.abs(lb) <= _HUGE_BND
     hi_ok = np.abs(ub) <= _HUGE_BND
     amax = A.max(axis=0, initial=0.0)
@@ -358,23 +351,18 @@ def _crash(A, b, lb, ub):
     x[S] = value[ok]
     r = b - A @ x
 
-    # step 4: logicals for the other rows
-    vstat = np.empty(n_tot, np.int64)
-    xval = np.zeros(n_tot)
+    # step 4: slacks for the other rows
+    vstat = np.full(n + m, _BASIC)
+    xval = np.zeros(n + m)
     vstat[:n] = np.where(x == lb, _AT_LB, _AT_UB)
     vstat[:n][free] = _FREE
     xval[:n] = x
     vstat[S] = _BASIC
-    feas = r >= -_CRASH_TOL
-    feas[T] = True
-    slack = n + np.arange(m)
-    basic = np.where(feas, slack, slack + m)
-    basic[T] = S
-    xB = np.where(feas, r, -r)
-    xB[T] = x[S]
-    vstat[n:n + m] = np.where(feas, _BASIC, _AT_LB)
-    vstat[n + m:] = np.where(feas, _LOCKED, _BASIC)
     vstat[n + T] = _AT_LB
+    basic = n + np.arange(m)
+    basic[T] = S
+    xB = r
+    xB[T] = x[S]
     return vstat, xval, basic, xB
 
 
@@ -404,16 +392,13 @@ def check_basis(basis, m, n):
     return basic.astype(np.int64), at_ub
 
 
-def _warm_start(A, b, cost, lb, ub, basic_in, at_ub):
+def _warm_start(A, lb, ub, basic_in, at_ub):
     """The state of a given basis, in the crash's layout.
 
     Slacks sit in their own rows and the structurals fill the other rows
     in the given order.  Nonbasic structurals rest at the bound ``at_ub``
-    names (the finite one if it is infinite, zero if both are), and then
-    every boxed one whose reduced cost has the wrong sign moves to its
-    other bound.  Returns (vstat, xval, basic, xB, basis, d), d being the
-    reduced costs of the structurals and slacks, or None if the basis is
-    singular.
+    names (the finite one if it is infinite, zero if both are).  Returns
+    (vstat, xval, basic, basis), or None if the basis is singular.
     """
     m, n = A.shape
     slack = basic_in >= n
@@ -429,29 +414,76 @@ def _warm_start(A, b, cost, lb, ub, basic_in, at_ub):
     hi_ok = np.isfinite(ub)
     up = hi_ok & (at_ub | ~lo_ok)
     free = ~lo_ok & ~hi_ok
-    vstat = np.full(n + 2 * m, _LOCKED)
+    vstat = np.full(n + m, _AT_LB)
     vstat[:n] = np.where(up, _AT_UB, np.where(free, _FREE, _AT_LB))
-    vstat[n:n + m] = _AT_LB
     vstat[basic] = _BASIC
-    xval = np.zeros(n + 2 * m)
+    xval = np.zeros(n + m)
     xval[:n] = np.where(up, ub, np.where(free, 0.0, lb))
+    return vstat, xval, basic, basis
 
+
+def _flip(vstat, xval, LB, UB, cols):
+    """Move the nonbasic boxed columns ``cols`` to their other bounds;
+    returns the changes of their values."""
+    up = vstat[cols] == _AT_LB
+    old = xval[cols]
+    vstat[cols] = np.where(up, _AT_UB, _AT_LB)
+    xval[cols] = np.where(up, UB[cols], LB[cols])
+    return xval[cols] - old
+
+
+def _dual_costs(A, cost, LB, UB, vstat, xval, basic, basis, movable,
+                boxed):
+    """Make a basis dual-feasible for the dual phase.
+
+    Every boxed nonbasic column whose reduced cost has the wrong sign moves
+    to its other bound (in place in ``vstat`` and ``xval``).  Each nonbasic
+    variable that is still dual-infeasible, such as a slack or a column
+    with one infinite bound, gets its cost shifted by minus its reduced
+    cost, so that reduced cost is zero.  Returns the shifted costs, equal
+    to ``cost`` where no shift was needed.
+    """
+    n = A.shape[1]
     y = basis.btran(cost[basic])
     d = np.concatenate([cost[:n] - y @ A, -y])
-    boxed = (np.abs(lb) <= _HUGE_BND) & (np.abs(ub) <= _HUGE_BND) & (lb < ub)
-    st = vstat[:n]
-    to_ub = boxed & (st == _AT_LB) & (d[:n] < -_TOL_D)
-    to_lb = boxed & (st == _AT_UB) & (d[:n] > _TOL_D)
-    st[to_ub] = _AT_UB
-    st[to_lb] = _AT_LB
-    xval[:n] = np.where(to_ub, ub, np.where(to_lb, lb, xval[:n]))
-    nb = st != _BASIC
-    xB = basis.solve(b - A[:, nb] @ xval[:n][nb])
-    return vstat, xval, basic, xB, basis, d
+    score = _scores(d, vstat, movable)
+    flip = np.flatnonzero(boxed & (score > _TOL_D))
+    _flip(vstat, xval, LB, UB, flip)
+    score[flip] = -score[flip]
+    return cost - np.where(score > _TOL_D, d, 0.0)
+
+
+def _flip_walk(elig, ratio, harris, gain, slope):
+    """Bound-flipping ratio test of one dual iteration.
+
+    The candidates ``elig`` are taken in groups in the order of their
+    ratios; a group is those within the Harris bound of the candidates
+    left (their ratio is at most min((slack + _TOL_D) / e)).  ``gain`` is
+    how far a candidate's flip moves the leaving row toward its bound, inf
+    for an unboxed one.  A group flips, and the walk goes on, while the
+    row stays more than ``_RELAX`` infeasible after its flips.  Returns
+    (group, flipped): the group the entering column comes from, and the
+    columns to flip.  The group is None when every candidate flips and the
+    row is still infeasible, so the LP is.
+    """
+    order = np.argsort(ratio, kind="stable")
+    r_sorted = ratio[order]
+    # Harris bound of the candidates from each sorted position on
+    h_tail = np.minimum.accumulate(harris[order][::-1])[::-1]
+    g_sorted = gain[order]
+    s = 0
+    while s < order.size:
+        end = int(np.searchsorted(r_sorted, h_tail[s], side="right"))
+        left = slope - g_sorted[s:end].sum()
+        if not left > _RELAX:
+            return elig[order[s:end]], elig[order[:s]]
+        slope = left
+        s = end
+    return None, elig
 
 
 def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
-                max_iter):
+                boxed, max_iter):
     """Bounded dual simplex from a dual-feasible basis to a primal-feasible
     one.
 
@@ -460,17 +492,22 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
     and the entering variable is the nonbasic structural or slack with the
     smallest ratio |d_j / alpha_j| among those whose reduced cost would
     change sign, by a two-pass Harris test with tolerance ``_TOL_D`` that
-    takes the largest |alpha_j| among near-ties.  The primal step moves
-    every basic value with the entering column, so the leaving variable
+    takes the largest |alpha_j| among near-ties.  Where that column is
+    boxed and its flip alone would leave the leaving row infeasible,
+    ``_flip_walk`` flips columns past their breakpoints instead and picks
+    the entering column further on.  The primal step moves every basic
+    value with the flips and the entering column, so the leaving variable
     lands exactly on its bound.  After ``_BLAND_AFTER`` degenerate steps
-    both choices go to the lowest index until a step makes progress.
+    both choices go to the lowest index, with no flips, until a step makes
+    progress.
 
     Returns (status, xB, iterations): status is -1 once every basic value
-    is within ``_RELAX`` of its bounds, INFEASIBLE when a violated
-    row has no entering candidate (the dual is unbounded), and
+    is within ``_RELAX`` of its bounds, INFEASIBLE when a violated row
+    cannot be repaired by any candidate (the dual is unbounded), and
     NUMERICAL_FAILURE on a tiny pivot or at ``max_iter``.
     """
     m, n = A.shape
+    span = np.where(boxed, UB - LB, np.inf)
     iters = 0
     degen_run = 0
     bland = False
@@ -497,11 +534,10 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
         alpha = np.concatenate([betaA, beta])
         # d + t * alpha (to_lb) or d - t * alpha must keep each nonbasic
         # variable's reduced cost on the side of its bound as t grows
-        st = vstat[:n + m]
-        sign = _PRICE_SIGN[st] * movable
+        sign = _PRICE_SIGN[vstat] * movable
         e = (alpha if to_lb else -alpha) * sign
         slack_d = np.maximum(-d * sign, 0.0)
-        free = np.flatnonzero(st == _FREE)
+        free = np.flatnonzero(vstat == _FREE)
         e[free] = np.abs(alpha[free])
         slack_d[free] = 0.0
         elig = np.flatnonzero(e > _EPS_A)
@@ -509,12 +545,23 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
             return INFEASIBLE, xB, iters
         ej = e[elig]
         ratio = slack_d[elig] / ej
-        t_rel = ((slack_d[elig] + _TOL_D) / ej).min()
-        cand = elig[ratio <= t_rel]
+        harris = (slack_d[elig] + _TOL_D) / ej
+        cand = elig[ratio <= harris.min()]
+        flips = elig[:0]
         if bland:
             q = int(cand.min())
         else:
             q = int(cand[np.argmax(np.abs(alpha[cand]))])
+            # e_j is |alpha_j|: a flip of j moves the leaving variable
+            # e_j * span_j toward its bound
+            if e[q] * span[q] < infeas[r]:
+                cand, flips = _flip_walk(elig, ratio, harris,
+                                         ej * span[elig], infeas[r])
+                if cand is None:
+                    return INFEASIBLE, xB, iters
+                q = int(cand[np.argmax(np.abs(alpha[cand]))])
+        if flips.size:
+            xB -= basis.solve(A[:, flips] @ _flip(vstat, xval, LB, UB, flips))
 
         w = basis.ftran(q)
         if abs(w[r]) < _TINY_PIV:
@@ -539,61 +586,54 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
             bland = False
 
 
-def simplex_numpy(A, b, c, lb, ub, tol_feas, max_iter, refactor_every=0, *,
+def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
                   basis=None):
     """Solve from the crash basis, or from ``basis`` when one is given.
 
-    A given basis (see ``check_basis``) is factored and its boxed columns
-    are flipped to the bounds their reduced costs ask for.  A
-    primal-feasible basis goes straight to phase 2; a dual-feasible one
-    first runs ``_dual_phase`` to primal feasibility; a singular basis, or
-    one that is neither, is dropped for the crash start.
+    A crash start that is primal-feasible goes straight to phase 2.  Every
+    other start, and every given basis (see ``check_basis``), is made
+    dual-feasible by ``_dual_costs`` and brought to primal feasibility by
+    ``_dual_phase``; phase 2 then finishes with the true costs.  A
+    singular given basis is dropped for the crash start.
 
     Returns (status, x, iterations, basis out, warm): the basis is in the
     form ``check_basis`` takes, whatever the status, and warm is True when
     the solve started from the given basis.
     """
     m, n = A.shape
-    n_tot = n + 2 * m
-    LB = np.concatenate([lb, np.zeros(m), np.zeros(m)])
-    UB = np.concatenate([ub, np.full(m, np.inf), np.full(m, np.inf)])
-    # only artificials ever change bounds, and they never enter
-    movable = ((UB[:n + m] - LB[:n + m]) > 0.0).astype(float)
-    cost = np.zeros(n_tot)
-    cost[:n] = c
+    LB = np.concatenate([lb, np.zeros(m)])
+    UB = np.concatenate([ub, np.full(m, np.inf)])
+    movable = (UB > LB).astype(float)
+    boxed = ((np.abs(LB) <= _HUGE_BND) & (np.abs(UB) <= _HUGE_BND)
+             & (UB > LB))
+    cost = np.concatenate([c, np.zeros(m)])
     iters = 0
     status = -1
-
-    start = None
-    if basis is not None:
-        start = _warm_start(A, b, cost, lb, ub, *basis)
-    if start is not None:
-        vstat, xval, basic, xB, basis, d = start
-        infeas = np.maximum(LB[basic] - xB, xB - UB[basic]).max(initial=0.0)
-        if infeas > _RELAX:
-            if _scores(d, vstat[:n + m], movable).max() <= _TOL_D:
-                status, xB, iters = _dual_phase(
-                    A, cost, LB, UB, vstat, xval, basic, xB, basis,
-                    movable, max_iter)
-            else:
-                start = None
-    warm = start is not None
-    if not warm:
-        vstat, xval, basic, xB = _crash(A, b, lb, ub)
-        basis = _ReducedBasis(A, basic)
-        arts = basic >= n + m
-        if arts.any():
-            cost[:] = 0.0
-            cost[basic[arts]] = 1.0
-    phase = 1 if (basic >= n + m).any() else 2
-
-    has_free = bool((vstat[:n] == _FREE).any())
-    degen_run = 0
-    bland = False
 
     def recompute_xb():
         nb = vstat[:n] != _BASIC
         return basis.solve(b - A[:, nb] @ xval[:n][nb])
+
+    start = None
+    if basis is not None:
+        start = _warm_start(A, lb, ub, *basis)
+    warm = start is not None
+    if warm:
+        vstat, xval, basic, basis = start
+    else:
+        vstat, xval, basic, xB = _crash(A, b, lb, ub)
+        basis = _ReducedBasis(A, basic)
+    if warm or (np.maximum(LB[basic] - xB, xB - UB[basic]).max(initial=0.0)
+                > _RELAX):
+        dual_cost = _dual_costs(A, cost, LB, UB, vstat, xval, basic, basis,
+                                movable, boxed)
+        status, xB, iters = _dual_phase(
+            A, dual_cost, LB, UB, vstat, xval, basic, recompute_xb(),
+            basis, movable, boxed, max_iter)
+
+    has_free = bool((vstat[:n] == _FREE).any())
+    degen_run = 0
+    bland = False
 
     while status < 0:
         if iters >= max_iter:
@@ -612,48 +652,9 @@ def simplex_numpy(A, b, c, lb, ub, tol_feas, max_iter, refactor_every=0, *,
         # reduced costs of structurals and slacks; a variable is eligible
         # where its score, the reduced cost signed by its bound, is > _TOL_D
         d = np.concatenate([cost[:n] - y @ A, -y])
-        score = _scores(d, vstat[:n + m], movable, has_free)
+        score = _scores(d, vstat, movable, has_free)
         q = int(np.argmax(score))
         if score[q] <= _TOL_D:
-            if phase == 1:
-                art_basic = basic >= n + m
-                infeas = xB[art_basic][xB[art_basic] > 0].sum()
-                bscale = max(1.0, np.abs(b).max() if m else 1.0)
-                if infeas > tol_feas * bscale:
-                    status = INFEASIBLE
-                    break
-                for p in np.nonzero(art_basic)[0]:
-                    beta = basis.row(p)
-                    arow = np.concatenate([beta @ A, beta])
-                    arow[vstat[:n + m] == _BASIC] = 0.0
-                    arow[vstat[:n + m] == _LOCKED] = 0.0
-                    pick = int(np.argmax(np.abs(arow)))
-                    if abs(arow[pick]) <= _TOL_PIV:
-                        UB[basic[p]] = 0.0
-                        continue
-                    wcol = basis.ftran(pick)
-                    art = basic[p]
-                    left = xB[p]
-                    vstat[art] = _LOCKED
-                    UB[art] = 0.0
-                    basic[p] = pick
-                    vstat[pick] = _BASIC
-                    xB[p] = xval[pick]
-                    basis.pivot(p, pick, wcol)
-                    if left != 0.0:
-                        # the artificial leaves at zero, not at its value;
-                        # its column is minus its row's slack column
-                        xB -= left * basis.ftran(art - m)
-                mask = vstat[n + m:] != _BASIC
-                vstat[n + m:][mask] = _LOCKED
-                UB[n + m:][mask] = 0.0
-                cost[:] = 0.0
-                cost[:n] = c
-                phase = 2
-                bland = False
-                degen_run = 0
-                iters += 1
-                continue
             # report the basic values of the final basis solved afresh from
             # A[T, S] x_S = r[T], not the updated ones, which carry the
             # roundoff of steps as long as 1e9-scale bound flips and of
@@ -691,7 +692,7 @@ def simplex_numpy(A, b, c, lb, ub, tol_feas, max_iter, refactor_every=0, *,
         t_rel = ti_rel.min() if m else np.inf
         t_flip = UB[q] - LB[q]
         if not (t_rel < np.inf) and not (t_flip < np.inf):
-            status = UNBOUNDED if phase == 2 else NUMERICAL_FAILURE
+            status = UNBOUNDED
             break
 
         if t_flip <= t_rel:
@@ -731,19 +732,13 @@ def simplex_numpy(A, b, c, lb, ub, tol_feas, max_iter, refactor_every=0, *,
         delta = best_dir * t_star
         xB -= w * delta
         leaving = basic[rpos]
-        alpha_r = best_dir * w[rpos]
-        if leaving >= n + m:
-            vstat[leaving] = _LOCKED
-            UB[leaving] = 0.0
-            snap = -xB[rpos]
-        elif alpha_r > 0.0:
+        if best_dir * w[rpos] > 0.0:
             vstat[leaving] = _AT_LB
             xval[leaving] = LB[leaving]
-            snap = LB[leaving] - xB[rpos]
         else:
             vstat[leaving] = _AT_UB
             xval[leaving] = UB[leaving]
-            snap = UB[leaving] - xB[rpos]
+        snap = xval[leaving] - xB[rpos]
         enter_val = xval[q] + delta
         basic[rpos] = q
         vstat[q] = _BASIC
@@ -752,12 +747,8 @@ def simplex_numpy(A, b, c, lb, ub, tol_feas, max_iter, refactor_every=0, *,
         basis.pivot(rpos, q, w)
         if beyond:
             # moving the leaving variable by snap moves the basic values by
-            # its column in the new basis; an artificial's column is minus
-            # its row's slack column
-            if leaving >= n + m:
-                xB += snap * basis.ftran(leaving - m)
-            else:
-                xB -= snap * basis.ftran(leaving)
+            # its column in the new basis
+            xB -= snap * basis.ftran(leaving)
 
         iters += 1
         if t_star <= _DEGEN_EPS:

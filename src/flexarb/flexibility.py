@@ -73,6 +73,12 @@ class FlexParams:
                 f"t_d={self.t_d}, n_steps={n}")
         y_max = _per_step(self.y_max, n, "y_max")
         y_min = _per_step(self.y_min, n, "y_min")
+        for name, value in (("K", self.K), ("y_max", y_max), ("y_min", y_min),
+                            ("epsilon", self.epsilon)):
+            arr = np.asarray(0.0 if value is None else value, dtype=float)
+            bad = arr[~np.isfinite(arr)]
+            if bad.size:
+                raise FlexParamError(f"{name} must be finite, got {bad[0]}")
         if (y_min < 0).any():
             raise FlexParamError("y_min must be >= 0 (consumption only)")
         if (y_min > y_max).any():

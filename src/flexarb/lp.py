@@ -96,10 +96,11 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """How a solve went.  ``iterations`` counts every kernel attempt.
-    ``warm_start`` is True when the result was solved from the passed
-    basis; it is False after a cold re-solve, and when the kernel dropped
-    the basis (singular, or neither primal- nor dual-feasible) for its
+    """How a solve went.  ``iterations`` counts the dual and primal simplex
+    iterations of every kernel attempt; a dual iteration counts once,
+    however many columns its ratio test flips.  ``warm_start`` is True
+    when the result was solved from the passed basis; it is False after a
+    cold re-solve, and when the kernel dropped a singular basis for its
     crash start.  ``backend`` names the one solver, for the JSON outputs
     and the benchmark harness that still read it."""
 
@@ -230,7 +231,7 @@ def _tighten_bounds(A, b, lb, ub):
     lo[gated] = np.where(need_lo[gated] & (lb_new > lo[gated]), lb_new,
                          lo[gated])
     # crossed bounds mean the LP is infeasible; keep the box nonempty and
-    # let phase 1 report it through the untouched rows
+    # let the dual phase report it through the untouched rows
     hi = np.where(hi < lo, lo, hi)
     return lo, hi
 
@@ -302,16 +303,14 @@ def solve_lp(problem: LpProblem, max_iter: int = 0,
     warm = False
     code = _simplex.NUMERICAL_FAILURE
     if basis is not None:
-        result = run(*args, FEASIBILITY_TOL * 0.1, max_iter, 0, basis=basis)
+        result = run(*args, max_iter, 0, basis=basis)
         code, x, iters, out, resid = verified(result)
-        # a singular basis, or one neither primal- nor dual-feasible, is
-        # dropped inside the kernel for the crash start
+        # a singular basis is dropped inside the kernel for the crash start
         warm = result[4] and code == _simplex.OPTIMAL
     if code != _simplex.OPTIMAL:
         # from the crash basis, then once more with periodic refactoring
         for refactor_every in (0, 96):
-            result = run(*args, FEASIBILITY_TOL * 0.1, max_iter,
-                         refactor_every)
+            result = run(*args, max_iter, refactor_every)
             code, x, it, out, resid = verified(result)
             iters += it
             if code == _simplex.OPTIMAL or result[0] != _simplex.OPTIMAL:

@@ -76,6 +76,11 @@ class StorageParams:
     tau_max: float = None
 
     def __post_init__(self):
+        for name in ("b_min", "b_max", "b_0", "delta_min", "delta_max",
+                     "tau_min", "tau_max"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise StorageParamError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.b_min <= self.b_0 <= self.b_max:
             raise StorageParamError(
                 "need 0 <= b_min <= b_0 <= b_max, got "

@@ -229,6 +229,22 @@ def test_bad_params_exit_2(tmp_path, capsys):
     assert _stderr_error(capsys)["kind"] == "params"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["storage", "--delta-max", "inf"], "delta_max"),
+    (["storage", "--b-max", "inf", "--b0", "0.5"], "b_max"),
+    (["flex", "--k", "nan"], "K"),
+    (["flex", "--epsilon", "inf"], "epsilon"),
+    (["flex", "--y-max", "inf"], "y_max"),
+    (["mc", "--count", "2", "--delta-max", "inf"], "delta_max"),
+])
+def test_non_finite_params_exit_2(argv, name, tmp_path, capsys):
+    rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "params"
+    assert f"{name} must be finite" in err["message"]
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["sweep", "--fractions", "nan 0.5 1.0"], "nan"),
     (["xcyc", "--c-rates", "1 -1"], "-1.0"),

@@ -35,6 +35,19 @@ def test_param_validation():
         FlexParams(n_steps=4, t_a=1, t_d=4, K=1.0, y_max=[2.0, 2.0])
 
 
+@pytest.mark.parametrize("name, value", [
+    ("K", np.nan), ("K", np.inf), ("y_max", np.inf),
+    ("y_max", [2.0, 2.0, np.inf, 2.0]), ("y_min", np.nan),
+    ("y_min", [0.0, np.nan, 0.0, 0.0]), ("epsilon", np.inf),
+    ("epsilon", np.nan)])
+def test_non_finite_params_are_rejected(name, value):
+    fields = dict(n_steps=4, t_a=1, t_d=4, K=1.0, y_max=2.0, y_min=0.0,
+                  epsilon=0.01)
+    fields[name] = value
+    with pytest.raises(FlexParamError, match=f"{name} must be finite"):
+        FlexParams(**fields)
+
+
 def test_epsilon_defaults_to_permille_of_k():
     p = FlexParams(n_steps=4, t_a=1, t_d=4, K=8.0, y_max=10.0)
     assert p.epsilon == pytest.approx(0.008)

@@ -8,8 +8,10 @@ statuses must agree and objectives must match to
 The reduced-basis inverse is also checked directly: after every pivot of
 a random walk through all kinds of basis change, ``solve`` and ``btran``
 must invert the explicit basis matrix.  So is the crash basis: its start
-must satisfy its own rows, and storage and flex LPs must need almost no
-artificials.
+must be consistent with its own rows, and bound flips alone must make the
+storage and flex starts dual-feasible.  The dual phase is checked on a
+bound-flipping step, a start that needs shifted costs, and an infeasible
+LP.
 """
 
 from dataclasses import replace
@@ -107,8 +109,8 @@ def random_lp(rng, k):
     Odd k has fewer rows than columns, even k more.  Half the LPs give a
     third of their columns the 1e9 sentinel box, the other half an infinite
     upper bound (the unbounded cases).  Every third LP draws ``b`` at
-    random, which can be negative (phase 1) or infeasible; the others
-    place a known point strictly inside the rows.
+    random, which can be negative (a primal-infeasible start) or
+    infeasible; the others place a known point strictly inside the rows.
     """
     small, large = sorted(int(v) for v in rng.integers(1, 30, size=2))
     m, n = (small, large) if k % 2 else (large, small)
@@ -205,7 +207,7 @@ def _explicit_basis(A, basic):
         if v < n:
             B[:, p] = A[:, v]
         else:
-            B[(v - n) % m, p] = 1.0 if v < n + m else -1.0
+            B[v - n, p] = 1.0
     return B
 
 
@@ -214,24 +216,18 @@ def test_reduced_basis_inverts_the_basis(shape):
     m, n = shape
     rng = np.random.default_rng(m * 100 + n)
     A = rng.normal(size=(m, n))
-    # rows with an artificial start with sigma -1
-    basic = np.where(rng.random(m) < 0.4, n + m + np.arange(m),
-                     n + np.arange(m))
+    basic = n + np.arange(m)
     basis = _simplex._ReducedBasis(A, basic)
     kinds = set()
     for _ in range(300):
-        logical_rows = (basic[basic >= n] - n) % m
-        slack_basic = set(basic[(basic >= n) & (basic < n + m)] - n)
-        candidates = [j for j in range(n) if j not in basic]
-        candidates += [n + i for i in range(m) if i not in slack_basic]
+        candidates = [v for v in range(n + m) if v not in basic]
         q = int(rng.choice(candidates))
         w = basis.ftran(q)
         usable = np.flatnonzero(np.abs(w) > 0.3)
         if usable.size == 0:
             continue
         p = int(rng.choice(usable))
-        kinds.add((q < n, basic[p] < n,
-                   q >= n and (q - n) in logical_rows))
+        kinds.add((q < n, basic[p] < n))
         basic[p] = q
         basis.pivot(p, q, w)
         B = _explicit_basis(A, basic)
@@ -245,11 +241,10 @@ def test_reduced_basis_inverts_the_basis(shape):
             assert np.allclose(basis.row(p_log) @ B, e, atol=1e-8)
         if rng.random() < 0.1:
             assert basis.refactor()
-    # structural for structural and for logical, slack for structural, for
-    # another row's logical and for its own row's artificial
-    assert {(True, True, False), (True, False, False),
-            (False, True, False), (False, False, False),
-            (False, False, True)} <= kinds
+    # structural for structural and for a slack, slack for structural and
+    # for another row's slack
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
 
 
 @pytest.mark.parametrize("seed, k", [(44, 13), (103, 145)])
@@ -363,17 +358,19 @@ def test_crash_start_is_consistent(label, problem):
     size = np.abs(B) @ np.abs(xB) + np.abs(A) @ np.abs(xN) + np.abs(b)
     assert (np.abs(B @ xB + A @ xN - b) <= 1e-13 * (1.0 + size)).all()
     # nonbasic columns sit on a bound (free ones at zero), basic ones
-    # within their bounds, and every row without an artificial holds
+    # within their bounds; each row of T holds with equality, and each
+    # other row's basic slack is its residual, negative where it is violated
     nb = vstat[:n] != _simplex._BASIC
     free = vstat[:n] == _simplex._FREE
     assert ((x == lo) | (x == hi) | free)[nb].all()
     assert (x[free] == 0.0).all()
     assert ((lo <= x) & (x <= hi)).all()
     logical = basic >= n
-    art_rows = (basic[basic >= n + m] - n - m)
-    ok_rows = np.setdiff1d(np.arange(m), art_rows)
-    assert (A[ok_rows] @ x - b[ok_rows] <= 1e-13 * (1.0 + size[ok_rows])).all()
-    assert (xB[logical] >= -1e-12).all()
+    assert (basic[logical] == n + np.flatnonzero(logical)).all()
+    resid = b - A @ x
+    tol = 1e-13 * (1.0 + size)
+    assert (np.abs(resid[~logical]) <= tol[~logical]).all()
+    assert (np.abs(xB - resid)[logical] <= tol[logical]).all()
     assert set(vstat[basic]) == {_simplex._BASIC}
     assert (vstat == _simplex._BASIC).sum() == m
     # the reduced basis built from the crash inverts B
@@ -382,21 +379,87 @@ def test_crash_start_is_consistent(label, problem):
     assert np.allclose(B @ basis.solve(a), a, atol=1e-9)
 
 
-def test_crash_needs_few_artificials():
-    # The default battery's mc LP starts primal-feasible, so no phase 1;
-    # a flex LP misses at most its two deadline rows.
-    problems = [build_storage_lp(BATTERY, synthetic_day(seed, 96, 0.25),
-                                 include_ramp_rate=False)
-                for seed in range(4)]
+def _crash_start(problem):
+    """(primal-infeasible, basic, cost, dual cost) of the kernel's crash
+    start: whether the start needs the dual phase, its basis, and the true
+    and the shifted costs that ``_dual_costs`` hands the dual phase."""
+    A, b, lo, hi = _kernel_input(problem)
+    m, n = A.shape
+    LB = np.concatenate([lo, np.zeros(m)])
+    UB = np.concatenate([hi, np.full(m, np.inf)])
+    movable = (UB > LB).astype(float)
+    boxed = ((np.abs(LB) <= _simplex._HUGE_BND)
+             & (np.abs(UB) <= _simplex._HUGE_BND) & (LB < UB))
+    vstat, xval, basic, xB = _simplex._crash(A, b, lo, hi)
+    basis = _simplex._ReducedBasis(A, basic)
+    infeasible = (np.maximum(LB[basic] - xB, xB - UB[basic]).max()
+                  > _simplex._RELAX)
+    cost = np.concatenate([problem.f, np.zeros(m)])
+    dual_cost = _simplex._dual_costs(A, cost, LB, UB, vstat, xval, basic,
+                                     basis, movable, boxed)
+    return infeasible, basic, cost, dual_cost
+
+
+def test_flips_alone_make_crash_starts_dual_feasible():
+    # solve_lp's bound tightening boxes every column of the storage and
+    # flex LPs, so moving nonbasic columns to the bounds their reduced
+    # costs ask for makes the crash basis dual-feasible: no cost is
+    # shifted.  The default battery's mc LPs start primal-feasible and
+    # skip the dual phase; every flex start here needs it.
+    mc = [build_storage_lp(BATTERY, synthetic_day(seed, 96, 0.25),
+                           include_ramp_rate=False)
+          for seed in range(4)]
     flex = [p for _, p in flex_lps(count=10, seed=34)]
-    for k, problem in enumerate(problems + flex):
-        A, b, lo, hi = _kernel_input(problem)
-        m, n = A.shape
-        _, _, basic, _ = _simplex._crash(A, b, lo, hi)
-        artificials = int((basic >= n + m).sum())
-        assert artificials <= (0 if k < len(problems) else 2)
+    for k, problem in enumerate(mc + flex):
+        infeasible, basic, cost, dual_cost = _crash_start(problem)
+        assert np.array_equal(dual_cost, cost)
+        assert infeasible == (k >= len(mc))
         # every epigraph column starts basic
+        n = problem.n_cols
         assert (basic < n).sum() == n // 2
+
+
+def test_one_dual_iteration_flips_several_boxed_columns():
+    # min x1 + 2 x2 + 3 x3 + 4 x4 + 5 x5 over the unit box with
+    # x1 + ... + x5 >= 2.5.  From the all-slack basis the row is 2.5 short.
+    # The ratio test of the first dual iteration flips x1 and x2 to 1 and
+    # lets x3 enter at 0.5, which is optimal; without the flips x1 would
+    # enter at 2.5, beyond its bound, and more iterations would follow.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    problem = LpProblem(f=[1.0, 2.0, 3.0, 4.0, 5.0], A=[[-1.0] * 5],
+                        b=[-2.5], lb=[0.0] * 5, ub=[1.0] * 5)
+    sol = solve_lp(problem, basis=(np.array([5]), np.zeros(5, bool)))
+    ref = linprog(problem.f, A_ub=problem.A, b_ub=problem.b,
+                  bounds=list(zip(problem.lb, problem.ub)), method="highs")
+    assert sol.status is SolveStatus.OPTIMAL and sol.stats.warm_start
+    assert sol.stats.iterations == 1
+    assert np.abs(sol.x - ref.x).max() <= 1e-12
+    assert np.array_equal(sol.x, [1.0, 1.0, 0.5, 0.0, 0.0])
+
+
+def test_shifted_costs_reach_the_optimum_of_the_true_costs(highs):
+    # random_lps(200, 13) #10: the crash start is primal-infeasible, and
+    # two nonbasic variables stay dual-infeasible after the flips, so the
+    # dual phase runs with shifted costs; phase 2 restores the true ones.
+    label, problem = list(random_lps(count=11, seed=13))[-1]
+    infeasible, _, cost, dual_cost = _crash_start(problem)
+    assert infeasible and (dual_cost != cost).sum() == 2
+    sol = solve_lp(problem)
+    status, ref = highs(problem)
+    assert sol.status is status is SolveStatus.OPTIMAL
+    assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_dual_phase_reports_an_infeasible_lp():
+    # random_lps(200, 13) #36 is infeasible, and its crash start needs both
+    # the dual phase and a cost shift; the infeasibility stands whatever
+    # the costs.
+    label, problem = list(random_lps(count=37, seed=13))[-1]
+    infeasible, _, cost, dual_cost = _crash_start(problem)
+    assert infeasible and not np.array_equal(dual_cost, cost)
+    status, x, iters, basis, warm = _run_kernel(problem)
+    assert status == _simplex.INFEASIBLE and not warm
+    assert solve_lp(problem).status is SolveStatus.INFEASIBLE
 
 
 def _tighten_bounds_dense(A, b, lb, ub):
@@ -450,7 +513,7 @@ def test_tighten_bounds_matches_dense_reference():
 
 def _run_kernel(problem, max_iter=100000, basis=None):
     A, b, lo, hi = _kernel_input(problem)
-    return _simplex.simplex_numpy(A, b, problem.f, lo, hi, 1e-7, max_iter,
+    return _simplex.simplex_numpy(A, b, problem.f, lo, hi, max_iter,
                                   basis=basis)
 
 

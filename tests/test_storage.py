@@ -53,6 +53,17 @@ def test_param_validation():
         p.validate(h=0.25)
 
 
+@pytest.mark.parametrize("name", ["b_min", "b_max", "b_0", "delta_min",
+                                  "delta_max", "tau_min", "tau_max"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_params_are_rejected(name, value):
+    fields = dict(b_min=0.0, b_max=1.0, b_0=0.5, delta_min=-1.0,
+                  delta_max=1.0, tau_min=-0.5, tau_max=0.5)
+    fields[name] = value
+    with pytest.raises(StorageParamError, match=f"{name} must be finite"):
+        StorageParams(**fields)
+
+
 def test_matrix_block_layout_n2():
     prices = two_step_prices(0.3, 0.4, h=0.25, kappa=0.5)
     params = simple_battery(tau_min=-0.25, tau_max=0.25)
