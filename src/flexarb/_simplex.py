@@ -9,27 +9,27 @@ implicitly (see ``_ReducedBasis``).  Storage LPs have 2-3x more rows than
 columns and k stays well below m, so a pivot costs O(k^2 + m k) instead
 of O(m^2).
 
-A solve starts from an elastic-column crash basis (``_crash``) or from a
-given basis, such as the optimal basis of an LP that differs in ``b`` (the
-next point of a ramp-rate sweep).  The crash makes columns that only relax
-their rows as they grow toward a huge bound, such as the epigraph columns
-t_i of the storage and flex LPs, basic in their binding rows and rests the
-other columns on the bounds that leave the fewest violations; a storage LP
-without ramp rows then starts primal-feasible and goes straight to the
-primal simplex (phase 2).
+A solve starts from a given basis, such as the optimal basis of an LP
+that differs in ``b`` (the next point of a ramp-rate sweep), or else from
+the elastic-column crash basis of ``_crash``.  The crash only picks a
+basis: columns that only relax their rows as they grow toward a huge
+bound, such as the epigraph columns t_i of the storage and flex LPs, are
+basic in their binding rows, the other rows keep their slacks, and every
+nonbasic column rests on a bound.
 
-Every other start reaches primal feasibility by one route, the bounded
-dual simplex of ``_dual_phase``.  Boxed nonbasic columns first move to the
+Every start then takes one path to primal feasibility, the bounded dual
+simplex of ``_dual_phase``.  Boxed nonbasic columns first move to the
 bounds their reduced costs ask for.  ``solve_lp``'s bound tightening boxes
 every column of the storage and flex LPs, and on every one tested that
-alone has made the start dual-feasible.  A variable still dual-infeasible (a slack, or a
-column with an infinite or huge bound) has its cost shifted until its
-reduced cost is zero, and the dual simplex runs with those costs; phase 2
-then continues from its primal-feasible basis with the true costs.  An
-infeasible LP is reported by the dual phase, since primal feasibility does
-not depend on the costs.  The dual ratio test flips boxed columns past
-their breakpoints while the leaving row stays infeasible (bound flipping),
-so one dual iteration can move many columns.
+alone has made the start dual-feasible.  A variable still dual-infeasible
+(a slack, or a column with an infinite or huge bound) has its cost
+shifted until its reduced cost is zero, and the dual simplex runs with
+those costs; phase 2 then continues from its primal-feasible basis with
+the true costs.  An infeasible LP is reported by the dual phase, since
+primal feasibility depends on neither the costs nor the start.  The dual
+ratio test flips boxed columns past their breakpoints while the leaving
+row stays infeasible (bound flipping), so one dual iteration can move many
+columns.
 
 Phase 2 picks entering variables by Dantzig pricing with a switch to
 Bland's rule after a run of degenerate pivots, so the iteration is finite
@@ -268,77 +268,44 @@ def _scores(d, vstat, movable, has_free=True):
 def _crash(A, b, lb, ub):
     """Elastic-column crash basis of  A x <= b,  lb <= x <= ub.
 
-    1. A column is elastic when exactly one of its bounds lies beyond
+    1. Every column rests at its upper bound, or at its lower one where
+       the upper lies beyond ``_HUGE_BND``.  A column with both bounds
+       huge rests at the bound its column sum points to (never an infinite
+       one), and one with both infinite is free at zero.
+    2. A column is elastic when exactly one of its bounds lies beyond
        ``_HUGE_BND`` and each of its nonzeros relaxes its row as the column
        moves toward that bound, such as the epigraph columns of the storage
-       and flex LPs.  Elastic columns rest at their finite bound.
-    2. Every other column starts at clip(0, lb, ub) and then, in column
-       order, moves to the finite bound that leaves the smaller total
-       violation over the rows no elastic column touches (the upper one
-       on a tie).  A column with only one finite bound rests there; one
-       with both bounds huge rests at the bound its column sum points to,
-       and one with both infinite is free at zero.
-    3. Each elastic column becomes basic in its binding row, the row that
-       needs the largest move toward its huge bound, unless the move is
-       negative, would take the column beyond ``_HUGE_BND`` (past its far
-       bound), or another elastic column shares one of its rows.  The
-       claimed rows form T and A[T, S] is diagonal.
-    4. Every other row gets its slack, basic at the row's residual, which
-       is negative where the row is still violated.
+       and flex LPs.  Each elastic column becomes basic in its binding row,
+       the row that needs the largest move toward its huge bound, unless
+       the move is negative, would take the column beyond ``_HUGE_BND``
+       (past its far bound), or another elastic column shares one of its
+       rows.  The claimed rows form T and A[T, S] is diagonal.
+    3. Every other row keeps its slack.
 
-    Returns (vstat, xval, basic, xB): states and values over structurals
-    and slacks, and the basic variable and value at each position, where
-    row i's slack or the column that claimed row i sits.
+    Returns the basis as (basic, at_ub) in the form ``check_basis`` takes,
+    with row i's slack or the column that claimed row i at position i.
     """
     m, n = A.shape
     lo_ok = np.abs(lb) <= _HUGE_BND
     hi_ok = np.abs(ub) <= _HUGE_BND
+    huge = ~lo_ok & ~hi_ok
+    at_ub = hi_ok.copy()
+    # the column sum picks the bound, but never an infinite one
+    at_ub[huge] = ((A[:, huge].sum(axis=0) < 0.0) & ~np.isinf(ub[huge])
+                   | np.isinf(lb[huge]))
+    x = np.where(at_ub, ub, lb)
+    x[huge & np.isinf(lb) & np.isinf(ub)] = 0.0
+
     amax = A.max(axis=0, initial=0.0)
     amin = A.min(axis=0, initial=0.0)
     E = np.flatnonzero((lo_ok & ~hi_ok & (amax <= 0.0) & (amin < 0.0))
                        | (hi_ok & ~lo_ok & (amin >= 0.0) & (amax > 0.0)))
     toward = np.where(hi_ok[E], -1.0, 1.0)  # each one's way to its huge bound
-
-    # step 2: starting values, then the greedy pass over two-bound columns
-    x = np.where(lo_ok, lb, np.where(hi_ok, ub, 0.0))
-    x[lo_ok & hi_ok] = np.clip(0.0, lb, ub)[lo_ok & hi_ok]
-    huge = ~lo_ok & ~hi_ok
-    free = huge & np.isinf(lb) & np.isinf(ub)
-    if huge.any():
-        # the column sum picks the bound, but never an infinite one
-        to_lb = (((A[:, huge].sum(axis=0) >= 0.0) | np.isinf(ub[huge]))
-                 & ~np.isinf(lb[huge]))
-        x[huge] = np.where(to_lb, lb[huge], ub[huge])
-        x[free] = 0.0
-
     AEt = A.T[E]
     nzE = AEt != 0.0
     touch = nzE.sum(axis=0)  # elastic columns per row
-    open_rows = touch == 0
-
-    G = np.flatnonzero(lo_ok & hi_ok & (lb < ub))
-    AUt = A.T[G][:, open_rows]
-    live = np.flatnonzero(AUt.any(axis=1))
-    to_hi = np.ones(G.size, bool)
-    if live.size:
-        s = A[open_rows] @ x - b[open_rows]
-        # the two candidate moves of each column, as changes of s
-        step = np.stack([lb[G] - x[G], ub[G] - x[G]], axis=1)[live]
-        moves = step[:, :, None] * AUt[live][:, None, :]
-        ones = np.ones(s.size)
-        buf = np.empty((2, s.size))
-        picks = []
-        for mk in moves:
-            cand = s + mk
-            lo_viol, hi_viol = (np.maximum(cand, 0.0, out=buf) @ ones).tolist()
-            up = hi_viol <= lo_viol
-            picks.append(up)
-            s = cand[1] if up else cand[0]
-        to_hi[live] = picks
-    x[G] = np.where(to_hi, ub[G], lb[G])
-
-    # step 3: the binding row of each elastic column needs the largest
-    # move, r_i / (a_ij * toward)
+    # the binding row of each elastic column needs the largest move,
+    # r_i / (a_ij * toward)
     r = b - A @ x
     need = np.divide(r, AEt * toward[:, None],
                      out=np.full(AEt.shape, -np.inf), where=nzE)
@@ -347,23 +314,10 @@ def _crash(A, b, lb, ub):
     value = x[E] + toward * move
     shared = (nzE & (touch > 1)).any(axis=1)
     ok = (move >= 0.0) & (np.abs(value) <= _HUGE_BND) & ~shared
-    S, T = E[ok], T[ok]
-    x[S] = value[ok]
-    r = b - A @ x
-
-    # step 4: slacks for the other rows
-    vstat = np.full(n + m, _BASIC)
-    xval = np.zeros(n + m)
-    vstat[:n] = np.where(x == lb, _AT_LB, _AT_UB)
-    vstat[:n][free] = _FREE
-    xval[:n] = x
-    vstat[S] = _BASIC
-    vstat[n + T] = _AT_LB
     basic = n + np.arange(m)
-    basic[T] = S
-    xB = r
-    xB[T] = x[S]
-    return vstat, xval, basic, xB
+    basic[T[ok]] = E[ok]
+    at_ub[E[ok]] = False
+    return basic, at_ub
 
 
 def check_basis(basis, m, n):
@@ -393,7 +347,8 @@ def check_basis(basis, m, n):
 
 
 def _warm_start(A, lb, ub, basic_in, at_ub):
-    """The state of a given basis, in the crash's layout.
+    """The kernel state of a basis, given or from ``_crash``, in the
+    crash's layout.
 
     Slacks sit in their own rows and the structurals fill the other rows
     in the given order.  Nonbasic structurals rest at the bound ``at_ub``
@@ -588,13 +543,13 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
 
 def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
                   basis=None):
-    """Solve from the crash basis, or from ``basis`` when one is given.
+    """Solve from ``basis`` when one is given, or from the crash basis.
 
-    A crash start that is primal-feasible goes straight to phase 2.  Every
-    other start, and every given basis (see ``check_basis``), is made
-    dual-feasible by ``_dual_costs`` and brought to primal feasibility by
-    ``_dual_phase``; phase 2 then finishes with the true costs.  A
-    singular given basis is dropped for the crash start.
+    Both take one path: ``_warm_start`` turns the basis (see
+    ``check_basis``) into the kernel state, ``_dual_costs`` makes it
+    dual-feasible, ``_dual_phase`` brings it to primal feasibility, and
+    phase 2 finishes with the true costs.  A singular given basis is
+    dropped for the crash basis.
 
     Returns (status, x, iterations, basis out, warm): the basis is in the
     form ``check_basis`` takes, whatever the status, and warm is True when
@@ -607,8 +562,6 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
     boxed = ((np.abs(LB) <= _HUGE_BND) & (np.abs(UB) <= _HUGE_BND)
              & (UB > LB))
     cost = np.concatenate([c, np.zeros(m)])
-    iters = 0
-    status = -1
 
     def recompute_xb():
         nb = vstat[:n] != _BASIC
@@ -618,18 +571,15 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
     if basis is not None:
         start = _warm_start(A, lb, ub, *basis)
     warm = start is not None
-    if warm:
-        vstat, xval, basic, basis = start
-    else:
-        vstat, xval, basic, xB = _crash(A, b, lb, ub)
-        basis = _ReducedBasis(A, basic)
-    if warm or (np.maximum(LB[basic] - xB, xB - UB[basic]).max(initial=0.0)
-                > _RELAX):
-        dual_cost = _dual_costs(A, cost, LB, UB, vstat, xval, basic, basis,
-                                movable, boxed)
-        status, xB, iters = _dual_phase(
-            A, dual_cost, LB, UB, vstat, xval, basic, recompute_xb(),
-            basis, movable, boxed, max_iter)
+    if not warm:
+        # A[T, S] of the crash basis is diagonal, so never singular
+        start = _warm_start(A, lb, ub, *_crash(A, b, lb, ub))
+    vstat, xval, basic, basis = start
+    dual_cost = _dual_costs(A, cost, LB, UB, vstat, xval, basic, basis,
+                            movable, boxed)
+    status, xB, iters = _dual_phase(
+        A, dual_cost, LB, UB, vstat, xval, basic, recompute_xb(), basis,
+        movable, boxed, max_iter)
 
     has_free = bool((vstat[:n] == _FREE).any())
     degen_run = 0

@@ -187,11 +187,18 @@ def _resolve_run(args, cfg) -> dict:
     seed = _pick(args.seed, cfg, "run", "seed", 0, _parse_seed)
     return {
         "prices": _pick(args.prices, cfg, "run", "prices", "sample", str),
-        "h": _pick(args.h, cfg, "run", "h", 0.25, float),
+        # None unless a flag or config key sets it; a price file's own
+        # sampling period then decides
+        "h": _pick(args.h, cfg, "run", "h", None, float),
         "out": Path(_pick(args.out, cfg, "run", "out", "runs", str)),
         "format": fmt,
         "seed": seed,
     }
+
+
+def _run_h(run: dict) -> float:
+    """The run's sampling period, 0.25 h unless a flag or config sets it."""
+    return 0.25 if run["h"] is None else run["h"]
 
 
 def _resolve_prices(run: dict) -> tuple:
@@ -199,7 +206,7 @@ def _resolve_prices(run: dict) -> tuple:
     src = run["prices"]
     if src == "sample":
         signal = sample_day()
-        if abs(run["h"] - signal.h) > 1e-12:
+        if run["h"] is not None and abs(run["h"] - signal.h) > 1e-12:
             raise CliError(EXIT_CONFIG, "config",
                            "the bundled sample day is fixed at h = 0.25; "
                            "drop --h or supply your own price file")
@@ -210,12 +217,12 @@ def _resolve_prices(run: dict) -> tuple:
     try:
         if p.suffix.lower() == ".json":
             signal = load_price_json(p)
-            if abs(run["h"] - signal.h) > 1e-12 and run["h"] != 0.25:
+            if run["h"] is not None and abs(run["h"] - signal.h) > 1e-12:
                 raise CliError(EXIT_CONFIG, "config",
-                               f"--h {run['h']} conflicts with h_hours "
-                               f"{signal.h} stored in {p}")
+                               f"h {run['h']} (--h or [run] h) conflicts "
+                               f"with h_hours {signal.h} stored in {p}")
         else:
-            signal = load_price_csv(p, h=run["h"])
+            signal = load_price_csv(p, h=_run_h(run))
     except PriceSignalError as exc:
         raise CliError(EXIT_CONFIG, "prices", f"{exc}") from exc
     except OSError as exc:
@@ -352,11 +359,12 @@ def _params_dict(params) -> dict:
     }
 
 
-def _summary(mode, run, prices_name, n_steps, params, solution=None,
+def _summary(mode, run, prices_name, h, n_steps, params, solution=None,
              **extra) -> dict:
+    """``h`` is the sampling period of the prices that were solved."""
     doc = {
         "mode": mode,
-        "inputs": {"prices": prices_name, "h": run["h"],
+        "inputs": {"prices": prices_name, "h": h,
                    "n_steps": n_steps, "seed": run["seed"]},
         "params": _params_dict(params) if params is not None else None,
     }
@@ -404,7 +412,7 @@ def _cmd_storage(args, cfg, run) -> int:
     wall = time.perf_counter() - t0
     _storage_schedule_files(schedule, run_dir, run["format"])
     _write_json(run_dir / "summary.json", _summary(
-        "storage", run, prices_name, len(prices), params, solution,
+        "storage", run, prices_name, prices.h, len(prices), params, solution,
         objective=solution.objective,
         gain=arbitrage_gain(schedule),
         cycles=equivalent_full_cycles(schedule, params),
@@ -426,7 +434,7 @@ def _cmd_flex(args, cfg, run) -> int:
     wall = time.perf_counter() - t0
     _flex_schedule_files(schedule, run_dir, run["format"])
     _write_json(run_dir / "summary.json", _summary(
-        "flex", run, prices_name, len(prices), params, solution,
+        "flex", run, prices_name, prices.h, len(prices), params, solution,
         objective=solution.objective,
         gain=arbitrage_gain(schedule, nominal),
         nominal_cost=nominal.total_cost,
@@ -473,7 +481,7 @@ def _cmd_sweep(args, cfg, run) -> int:
         write_sweep_json(result, run_dir / "sweep.json")
     _storage_schedule_files(schedule, run_dir, run["format"])
     _write_json(run_dir / "summary.json", _summary(
-        "sweep", run, prices_name, len(prices), params, solution,
+        "sweep", run, prices_name, prices.h, len(prices), params, solution,
         fractions=[float(v) for v in result.fractions],
         objective=solution.objective,
         gain=float(result.gain[-1]),
@@ -520,7 +528,7 @@ def _cmd_xcyc(args, cfg, run) -> int:
             "curves": [sweep_to_dict(res) for res in results],
         })
     _write_json(run_dir / "summary.json", _summary(
-        "xcyc", run, prices_name, len(prices), params,
+        "xcyc", run, prices_name, prices.h, len(prices), params,
         c_rates=[float(c) for c in c_rates],
         fractions=[float(v) for v in fractions],
         grid_shape=[len(c_rates), len(fractions)],
@@ -532,14 +540,15 @@ def _cmd_xcyc(args, cfg, run) -> int:
 
 
 def _cmd_mc(args, cfg, run) -> int:
-    params = _resolve_storage(args, cfg, run["h"])
+    h = _run_h(run)
+    params = _resolve_storage(args, cfg, h)
     count = _pick(args.count, cfg, "mc", "count", 1000, int)
     steps = _pick(args.steps, cfg, "mc", "steps", 96, int)
     if count < 1 or steps < 1:
         raise CliError(EXIT_CONFIG, "config",
                        "mc count and steps must be >= 1")
     run_dir = _ensure_run_dir(run["out"], "mc")
-    gen = default_price_generator(n_steps=steps, h=run["h"])
+    gen = default_price_generator(n_steps=steps, h=h)
     try:
         report = monte_carlo_run(params, gen, count, run["seed"])
     except ValueError as exc:
@@ -555,7 +564,7 @@ def _cmd_mc(args, cfg, run) -> int:
     if run["format"] in ("json", "both"):
         _write_json(run_dir / "mc.json", mc_to_dict(report))
     _write_json(run_dir / "summary.json", _summary(
-        "mc", run, f"synthetic({steps} steps)", steps, params,
+        "mc", run, f"synthetic({steps} steps)", h, steps, params,
         scenario_count=report.scenario_count,
         failures=len(report.failures),
         objective=None,
@@ -597,7 +606,7 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prices", help="price CSV/JSON path, or 'sample' for "
                    "the bundled day (default)")
     p.add_argument("--h", type=float, help="sampling period in hours "
-                   "(default 0.25)")
+                   "(default: a JSON price file's h_hours, else 0.25)")
     p.add_argument("--config", help="INI config file; flags override it")
     p.add_argument("--out", help="output root directory (default runs)")
     p.add_argument("--format", choices=("csv", "json", "both"),

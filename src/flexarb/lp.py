@@ -243,9 +243,11 @@ def solve_lp(problem: LpProblem, max_iter: int = 0,
     ``max_iter`` of 0 picks a size-based default.  ``basis``, such as the
     ``basis`` of a solve of an LP of the same shape, is where the simplex
     starts (see ``_simplex.simplex_numpy``); one of the wrong shape raises
-    ValueError.  Without one, or if the warm attempt ends in anything but a
-    verified optimum, the LP is solved from the crash basis and that result
-    is reported.
+    ValueError.  Without one the simplex starts from the crash basis.  A
+    warm attempt's INFEASIBLE or UNBOUNDED verdict stands: the dual phase
+    proves the one and phase 2 the other whatever the start.  Only a
+    numerical failure, or an optimum that fails the feasibility check, is
+    solved again from the crash basis, and that result is reported.
     """
     diags = validate_lp(problem)
     if diags:
@@ -306,9 +308,10 @@ def solve_lp(problem: LpProblem, max_iter: int = 0,
         result = run(*args, max_iter, 0, basis=basis)
         code, x, iters, out, resid = verified(result)
         # a singular basis is dropped inside the kernel for the crash start
-        warm = result[4] and code == _simplex.OPTIMAL
-    if code != _simplex.OPTIMAL:
+        warm = result[4]
+    if code == _simplex.NUMERICAL_FAILURE:
         # from the crash basis, then once more with periodic refactoring
+        warm = False
         for refactor_every in (0, 96):
             result = run(*args, max_iter, refactor_every)
             code, x, it, out, resid = verified(result)

@@ -14,6 +14,7 @@ import pytest
 import flexarb
 from flexarb import cli
 from flexarb.lp import LpSolution, SolveStats, SolveStatus
+from flexarb.pricing import save_price_json, synthetic_day
 from flexarb.storage import StorageParams, StorageSchedule, \
     check_storage_schedule
 
@@ -159,6 +160,45 @@ def test_mc_small_batch(tmp_path):
     assert summary["scenario_count"] == 5
     assert summary["failures"] == 0
     assert not (run_dir / "schedule.csv").exists()
+
+
+def _half_hour_json(tmp_path):
+    """A 48-step JSON price file whose h_hours is 0.5."""
+    path = tmp_path / "day.json"
+    save_price_json(synthetic_day(4, 48, 0.5), path)
+    return path
+
+
+def test_summary_records_the_h_that_was_solved(tmp_path):
+    prices = str(_half_hour_json(tmp_path))
+    for argv in (["storage", "--prices", prices],
+                 ["storage", "--prices", prices, "--h", "0.5"],
+                 ["flex", "--prices", prices, "--t-a", "5", "--t-d", "40",
+                  "--k", "10"]):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        summary = _summary(tmp_path / argv[0])
+        assert summary["inputs"]["h"] == 0.5
+        assert summary["inputs"]["n_steps"] == 48
+    # mc keeps the run's own h
+    for extra, h in (([], 0.25), (["--h", "0.5"], 0.5)):
+        assert cli.main(["mc", "--count", "2", "--steps", "8",
+                         "--out", str(tmp_path)] + extra) == 0
+        assert _summary(tmp_path / "mc")["inputs"]["h"] == h
+
+
+@pytest.mark.parametrize("how", [["--h", "0.25"], ["--h", "0.3"],
+                                 ["--config", "run.ini"]])
+def test_explicit_h_that_conflicts_with_json_exits_2(how, tmp_path, capsys):
+    prices = _half_hour_json(tmp_path)
+    (tmp_path / "run.ini").write_text("[run]\nh = 0.25\n")
+    how = [str(tmp_path / v) if v.endswith(".ini") else v for v in how]
+    rc = cli.main(["storage", "--prices", str(prices),
+                   "--out", str(tmp_path)] + how)
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config"
+    assert "conflicts with h_hours 0.5" in err["message"]
+    assert not (tmp_path / "storage").exists()
 
 
 def test_validate_prints_report(tmp_path, capsys):

@@ -8,10 +8,12 @@ statuses must agree and objectives must match to
 The reduced-basis inverse is also checked directly: after every pivot of
 a random walk through all kinds of basis change, ``solve`` and ``btran``
 must invert the explicit basis matrix.  So is the crash basis: its start
-must be consistent with its own rows, and bound flips alone must make the
-storage and flex starts dual-feasible.  The dual phase is checked on a
+must be consistent with its own rows, bound flips alone must make the
+storage and flex starts dual-feasible, and a solve from it passed as a
+basis must be the cold solve.  The dual phase is checked on a
 bound-flipping step, a start that needs shifted costs, and an infeasible
-LP.
+LP.  Iteration counts are deterministic, so budgets on them catch a slower
+start path without timing noise.
 """
 
 from dataclasses import replace
@@ -348,7 +350,10 @@ def _crash_lps():
 def test_crash_start_is_consistent(label, problem):
     A, b, lo, hi = _kernel_input(problem)
     m, n = A.shape
-    vstat, xval, basic, xB = _simplex._crash(A, b, lo, hi)
+    vstat, xval, basic, basis = _simplex._warm_start(
+        A, lo, hi, *_simplex._crash(A, b, lo, hi))
+    nb = vstat[:n] != _simplex._BASIC
+    xB = basis.solve(b - A[:, nb] @ xval[:n][nb])
     struct = basic < n
     x = xval[:n].copy()
     x[basic[struct]] = xB[struct]
@@ -374,15 +379,15 @@ def test_crash_start_is_consistent(label, problem):
     assert set(vstat[basic]) == {_simplex._BASIC}
     assert (vstat == _simplex._BASIC).sum() == m
     # the reduced basis built from the crash inverts B
-    basis = _simplex._ReducedBasis(A, basic)
     a = np.random.default_rng(m + n).normal(size=m)
     assert np.allclose(B @ basis.solve(a), a, atol=1e-9)
 
 
 def _crash_start(problem):
     """(primal-infeasible, basic, cost, dual cost) of the kernel's crash
-    start: whether the start needs the dual phase, its basis, and the true
-    and the shifted costs that ``_dual_costs`` hands the dual phase."""
+    start: whether the dual phase has rows to repair once ``_dual_costs``
+    has flipped bounds, the basis, and the true and the shifted costs that
+    ``_dual_costs`` hands the dual phase."""
     A, b, lo, hi = _kernel_input(problem)
     m, n = A.shape
     LB = np.concatenate([lo, np.zeros(m)])
@@ -390,13 +395,15 @@ def _crash_start(problem):
     movable = (UB > LB).astype(float)
     boxed = ((np.abs(LB) <= _simplex._HUGE_BND)
              & (np.abs(UB) <= _simplex._HUGE_BND) & (LB < UB))
-    vstat, xval, basic, xB = _simplex._crash(A, b, lo, hi)
-    basis = _simplex._ReducedBasis(A, basic)
-    infeasible = (np.maximum(LB[basic] - xB, xB - UB[basic]).max()
-                  > _simplex._RELAX)
+    vstat, xval, basic, basis = _simplex._warm_start(
+        A, lo, hi, *_simplex._crash(A, b, lo, hi))
     cost = np.concatenate([problem.f, np.zeros(m)])
     dual_cost = _simplex._dual_costs(A, cost, LB, UB, vstat, xval, basic,
                                      basis, movable, boxed)
+    nb = vstat[:n] != _simplex._BASIC
+    xB = basis.solve(b - A[:, nb] @ xval[:n][nb])
+    infeasible = (np.maximum(LB[basic] - xB, xB - UB[basic]).max()
+                  > _simplex._RELAX)
     return infeasible, basic, cost, dual_cost
 
 
@@ -404,19 +411,52 @@ def test_flips_alone_make_crash_starts_dual_feasible():
     # solve_lp's bound tightening boxes every column of the storage and
     # flex LPs, so moving nonbasic columns to the bounds their reduced
     # costs ask for makes the crash basis dual-feasible: no cost is
-    # shifted.  The default battery's mc LPs start primal-feasible and
-    # skip the dual phase; every flex start here needs it.
+    # shifted.
     mc = [build_storage_lp(BATTERY, synthetic_day(seed, 96, 0.25),
                            include_ramp_rate=False)
           for seed in range(4)]
     flex = [p for _, p in flex_lps(count=10, seed=34)]
-    for k, problem in enumerate(mc + flex):
-        infeasible, basic, cost, dual_cost = _crash_start(problem)
+    for problem in mc + flex:
+        _, basic, cost, dual_cost = _crash_start(problem)
         assert np.array_equal(dual_cost, cost)
-        assert infeasible == (k >= len(mc))
         # every epigraph column starts basic
         n = problem.n_cols
         assert (basic < n).sum() == n // 2
+
+
+def _mc_lps(count=40, seed=7):
+    """The default battery's mc LPs: one synthetic day per child seed."""
+    for child in np.random.SeedSequence(seed).spawn(count):
+        yield build_storage_lp(BATTERY, synthetic_day(child, 96, 0.25),
+                               include_ramp_rate=False)
+
+
+def test_crash_basis_passed_as_a_basis_is_the_cold_solve():
+    # A cold solve and a warm one take the same path from the start basis
+    # on, so passing the crash basis changes nothing in the result.
+    problems = (list(_mc_lps(count=4)) + [p for _, p in flex_lps(6, 35)]
+                + [p for _, p in random_lps(30, 36)])
+    statuses = set()
+    for problem in problems:
+        A, b, lo, hi = _kernel_input(problem)
+        cold = solve_lp(problem)
+        warm = solve_lp(problem, basis=_simplex._crash(A, b, lo, hi))
+        statuses.add(cold.status)
+        assert warm.stats.warm_start and not cold.stats.warm_start
+        assert warm.status is cold.status
+        assert warm.stats.iterations == cold.stats.iterations
+        assert np.array_equal(warm.x, cold.x, equal_nan=True)
+    assert len(statuses) == 3  # optimal, infeasible and unbounded
+
+
+def test_iteration_budgets_of_the_crash_start():
+    # the default battery's mc LPs took 121.2 iterations on average when
+    # a greedy bound pass let them skip the dual phase; kappa = 0 LPs,
+    # whose dual phase stalls in degeneracy, took up to 1128
+    mc = [solve_lp(p).stats.iterations for p in _mc_lps()]
+    assert np.mean(mc) <= 100
+    kappa0 = [solve_lp(p).stats.iterations for _, p in _kappa0_lps()]
+    assert max(kappa0) <= 900
 
 
 def test_one_dual_iteration_flips_several_boxed_columns():
@@ -596,7 +636,8 @@ def test_warm_start_from_another_lp_matches_highs(highs):
         assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
-def test_warm_start_of_an_infeasible_lp_reports_the_cold_status():
+def test_warm_start_of_an_infeasible_lp_reports_the_cold_status(
+        monkeypatch):
     problem = _ramp_lp()
     basis = solve_lp(problem).basis
     n = problem.n_cols // 2
@@ -604,11 +645,16 @@ def test_warm_start_of_an_infeasible_lp_reports_the_cold_status():
     b = problem.b.copy()
     b[2 * n] = BATTERY.b_min - BATTERY.b_0 - 0.1
     bad = LpProblem(problem.f, problem.A, b, problem.lb, problem.ub)
+    kernel = _simplex.simplex_numpy
+    calls = []
+    monkeypatch.setattr(_simplex, "simplex_numpy",
+                        lambda *args, **kw: calls.append(kw)
+                        or kernel(*args, **kw))
     warm = solve_lp(bad, basis=basis)
+    assert len(calls) == 1  # the dual phase's verdict stands
     cold = solve_lp(bad)
     assert warm.status is cold.status is SolveStatus.INFEASIBLE
-    assert warm.basis is None and not warm.stats.warm_start
-    assert warm.stats.iterations > cold.stats.iterations
+    assert warm.basis is None and warm.stats.warm_start
 
 
 def test_singular_basis_falls_back_to_the_crash():
