@@ -36,21 +36,23 @@ Bland's rule after a run of degenerate pivots, so the iteration is finite
 and deterministic; leaving ones by a two-pass Harris ratio test with
 bounds relaxed by 1e-9.  A leaving variable that the ratio test snaps onto
 a bound it had already crossed moves the basic values with it, and the
-final basic values are solved afresh from A[T, S] at the optimum.  A
-singular given basis is dropped for the crash start.  Every solve returns
-its final basis in the crash's layout for the next solve.
-
-Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 numerical failure.
+final basic values are solved afresh from A[T, S] at the optimum.  Every
+solve returns its final basis in the crash's layout for the next solve.
 """
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
-OPTIMAL = 0
-INFEASIBLE = 1
-UNBOUNDED = 2
-NUMERICAL_FAILURE = 3
+
+class SolveStatus(enum.Enum):
+    OPTIMAL = "optimal"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+    NUMERICAL_FAILURE = "numerical_failure"
+
 
 # variable states
 _BASIC = 0
@@ -309,7 +311,7 @@ def _crash(A, b, lb, ub):
     r = b - A @ x
     need = np.divide(r, AEt * toward[:, None],
                      out=np.full(AEt.shape, -np.inf), where=nzE)
-    T = need.argmax(axis=1) if m else np.zeros(0, np.int64)  # E is empty
+    T = need.argmax(axis=1)
     move = need[np.arange(E.size), T]
     value = x[E] + toward * move
     shared = (nzE & (touch > 1)).any(axis=1)
@@ -353,7 +355,8 @@ def _warm_start(A, lb, ub, basic_in, at_ub):
     Slacks sit in their own rows and the structurals fill the other rows
     in the given order.  Nonbasic structurals rest at the bound ``at_ub``
     names (the finite one if it is infinite, zero if both are).  Returns
-    (vstat, xval, basic, basis), or None if the basis is singular.
+    (vstat, xval, basic, basis); a singular basis raises
+    ``np.linalg.LinAlgError``.
     """
     m, n = A.shape
     slack = basic_in >= n
@@ -361,10 +364,7 @@ def _warm_start(A, lb, ub, basic_in, at_ub):
     own = np.ones(m, bool)
     own[basic_in[slack] - n] = False
     basic[own] = basic_in[~slack]
-    try:
-        basis = _ReducedBasis(A, basic)
-    except np.linalg.LinAlgError:
-        return None
+    basis = _ReducedBasis(A, basic)
     lo_ok = np.isfinite(lb)
     hi_ok = np.isfinite(ub)
     up = hi_ok & (at_ub | ~lo_ok)
@@ -456,9 +456,9 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
     both choices go to the lowest index, with no flips, until a step makes
     progress.
 
-    Returns (status, xB, iterations): status is -1 once every basic value
-    is within ``_RELAX`` of its bounds, INFEASIBLE when a violated row
-    cannot be repaired by any candidate (the dual is unbounded), and
+    Returns (status, xB, iterations): status is None once every basic
+    value is within ``_RELAX`` of its bounds, INFEASIBLE when a violated
+    row cannot be repaired by any candidate (the dual is unbounded), and
     NUMERICAL_FAILURE on a tiny pivot or at ``max_iter``.
     """
     m, n = A.shape
@@ -477,9 +477,9 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
         else:
             r = int(np.argmax(infeas))
         if infeas[r] <= _RELAX:
-            return -1, xB, iters
+            return None, xB, iters
         if iters >= max_iter:
-            return NUMERICAL_FAILURE, xB, iters
+            return SolveStatus.NUMERICAL_FAILURE, xB, iters
         to_lb = below[r] > 0.0
 
         y = basis.btran(cost[basic])
@@ -497,7 +497,7 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
         slack_d[free] = 0.0
         elig = np.flatnonzero(e > _EPS_A)
         if elig.size == 0:
-            return INFEASIBLE, xB, iters
+            return SolveStatus.INFEASIBLE, xB, iters
         ej = e[elig]
         ratio = slack_d[elig] / ej
         harris = (slack_d[elig] + _TOL_D) / ej
@@ -513,14 +513,14 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
                 cand, flips = _flip_walk(elig, ratio, harris,
                                          ej * span[elig], infeas[r])
                 if cand is None:
-                    return INFEASIBLE, xB, iters
+                    return SolveStatus.INFEASIBLE, xB, iters
                 q = int(cand[np.argmax(np.abs(alpha[cand]))])
         if flips.size:
             xB -= basis.solve(A[:, flips] @ _flip(vstat, xval, LB, UB, flips))
 
         w = basis.ftran(q)
         if abs(w[r]) < _TINY_PIV:
-            return NUMERICAL_FAILURE, xB, iters
+            return SolveStatus.NUMERICAL_FAILURE, xB, iters
         bound = lo[r] if to_lb else hi[r]
         theta = (xB[r] - bound) / w[r]
         xB -= theta * w
@@ -541,19 +541,18 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
             bland = False
 
 
-def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
-                  basis=None):
+def simplex_numpy(A, b, c, lb, ub, max_iter, *, basis=None):
     """Solve from ``basis`` when one is given, or from the crash basis.
 
     Both take one path: ``_warm_start`` turns the basis (see
     ``check_basis``) into the kernel state, ``_dual_costs`` makes it
     dual-feasible, ``_dual_phase`` brings it to primal feasibility, and
-    phase 2 finishes with the true costs.  A singular given basis is
-    dropped for the crash basis.
+    phase 2 finishes with the true costs.  A singular given basis raises
+    ``np.linalg.LinAlgError``.  A has at least one row.
 
-    Returns (status, x, iterations, basis out, warm): the basis is in the
-    form ``check_basis`` takes, whatever the status, and warm is True when
-    the solve started from the given basis.
+    Returns (status, x, iterations, basis out): status is a
+    ``SolveStatus``, and the basis is in the form ``check_basis`` takes,
+    whatever the status.
     """
     m, n = A.shape
     LB = np.concatenate([lb, np.zeros(m)])
@@ -567,14 +566,9 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
         nb = vstat[:n] != _BASIC
         return basis.solve(b - A[:, nb] @ xval[:n][nb])
 
-    start = None
-    if basis is not None:
-        start = _warm_start(A, lb, ub, *basis)
-    warm = start is not None
-    if not warm:
-        # A[T, S] of the crash basis is diagonal, so never singular
-        start = _warm_start(A, lb, ub, *_crash(A, b, lb, ub))
-    vstat, xval, basic, basis = start
+    if basis is None:
+        basis = _crash(A, b, lb, ub)
+    vstat, xval, basic, basis = _warm_start(A, lb, ub, *basis)
     dual_cost = _dual_costs(A, cost, LB, UB, vstat, xval, basic, basis,
                             movable, boxed)
     status, xB, iters = _dual_phase(
@@ -585,16 +579,11 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
     degen_run = 0
     bland = False
 
-    while status < 0:
+    while status is None:
         if iters >= max_iter:
-            status = NUMERICAL_FAILURE
+            status = SolveStatus.NUMERICAL_FAILURE
             break
-        if refactor_every > 0 and iters > 0 and iters % refactor_every == 0:
-            if not basis.refactor():
-                status = NUMERICAL_FAILURE
-                break
-            xB = recompute_xb()
-        elif iters > 0 and iters % 512 == 0:
+        if iters > 0 and iters % 512 == 0:
             xB = recompute_xb()
 
         y = basis.btran(cost[basic])
@@ -613,9 +602,9 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
             try:
                 xB = basis.solve(b - A[:, nb] @ xval[:n][nb], fresh=True)
             except np.linalg.LinAlgError:
-                status = NUMERICAL_FAILURE
+                status = SolveStatus.NUMERICAL_FAILURE
                 break
-            status = OPTIMAL
+            status = SolveStatus.OPTIMAL
             break
 
         if bland:
@@ -639,10 +628,10 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
         ti_rel = np.divide(np.where(up, gap_lo + _RELAX, gap_hi - _RELAX),
                            alpha, out=np.full(m, np.inf), where=moves)
         np.maximum(ti_rel, 0.0, out=ti_rel)
-        t_rel = ti_rel.min() if m else np.inf
+        t_rel = ti_rel.min()
         t_flip = UB[q] - LB[q]
         if not (t_rel < np.inf) and not (t_flip < np.inf):
-            status = UNBOUNDED
+            status = SolveStatus.UNBOUNDED
             break
 
         if t_flip <= t_rel:
@@ -665,14 +654,14 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
         np.maximum(ti, 0.0, out=ti)
         idx = np.nonzero(ti <= t_rel)[0]
         if idx.size == 0:
-            status = NUMERICAL_FAILURE
+            status = SolveStatus.NUMERICAL_FAILURE
             break
         if bland:
             rpos = idx[np.argmin(basic[idx])]
         else:
             rpos = idx[np.argmax(np.abs(w[idx]))]
         if abs(w[rpos]) < _TINY_PIV:
-            status = NUMERICAL_FAILURE
+            status = SolveStatus.NUMERICAL_FAILURE
             break
         t_star = ti[rpos]
         # a leaving variable already beyond its bound (a negative true
@@ -712,8 +701,7 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, refactor_every=0, *,
     x = xval[:n].copy()
     struct = basic < n
     x[basic[struct]] = xB[struct]
-    return (status, x, iters, (basis.canonical(basic), vstat[:n] == _AT_UB),
-            warm)
+    return status, x, iters, (basis.canonical(basic), vstat[:n] == _AT_UB)
 
 
 # perfbench/spans.py wraps each of its CALL_SITES with a bare getattr, and

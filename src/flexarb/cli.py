@@ -254,6 +254,11 @@ def _resolve_storage(args, cfg, h: float) -> StorageParams:
                     "give either tau bounds or tau_fraction, not both")
             params = params.with_ramp_rate_fraction(fraction, h)
         params.validate(h)
+        # such a battery has nothing to schedule and no cycles to report
+        if params.usable_capacity <= 0.0:
+            raise StorageParamError(
+                f"need b_max > b_min for a usable capacity, got "
+                f"b_min={params.b_min}, b_max={params.b_max}")
     except StorageParamError as exc:
         raise CliError(EXIT_CONFIG, "params", f"storage: {exc}") from exc
     return params

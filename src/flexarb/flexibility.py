@@ -233,7 +233,10 @@ def nominal_profile(params: FlexParams, prices: PriceSignal) -> FlexSchedule:
     """The no-optimization baseline: full power from arrival until K is met.
 
     Charges at y_max from t_a onward; the last active step is fractional
-    when K is not a whole number of full-power steps.
+    when K is not a whole number of full-power steps.  Where K lies above
+    what the window can hold, the profile charges at y_max through the
+    whole window; ``params.validate`` has checked that this reaches
+    K - epsilon, so the profile always meets the deadline band.
     """
     n = len(prices)
     if n != params.n_steps:
@@ -249,10 +252,6 @@ def nominal_profile(params: FlexParams, prices: PriceSignal) -> FlexSchedule:
         yi = min(params.y_max[i], remaining / h)
         y[i] = yi
         remaining -= yi * h
-    if remaining > 1e-9 * max(1.0, params.K):
-        raise FlexParamError(
-            f"K = {params.K} kWh unreachable at rated power within the "
-            f"window ({remaining:.9g} kWh left over)")
     return _as_schedule(y, params, prices)
 
 

@@ -13,34 +13,19 @@ against the original (unscaled) data before reporting it as optimal.
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _simplex
+from ._simplex import SolveStatus
 
 #: Sentinel bounds for epigraph helper variables; wide enough to be inactive
 #: for any sane price signal, finite so the LP stays bounded by construction.
 BIG_BOUND = 1e9
 
 FEASIBILITY_TOL = 1e-6
-
-
-class SolveStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-    NUMERICAL_FAILURE = "numerical_failure"
-
-
-_STATUS_FROM_CODE = {
-    _simplex.OPTIMAL: SolveStatus.OPTIMAL,
-    _simplex.INFEASIBLE: SolveStatus.INFEASIBLE,
-    _simplex.UNBOUNDED: SolveStatus.UNBOUNDED,
-    _simplex.NUMERICAL_FAILURE: SolveStatus.NUMERICAL_FAILURE,
-}
 
 
 class LpValidationError(ValueError):
@@ -97,12 +82,12 @@ class LpProblem:
 @dataclass(frozen=True)
 class SolveStats:
     """How a solve went.  ``iterations`` counts the dual and primal simplex
-    iterations of every kernel attempt; a dual iteration counts once,
+    iterations of both kernel attempts; a dual iteration counts once,
     however many columns its ratio test flips.  ``warm_start`` is True
-    when the result was solved from the passed basis; it is False after a
-    cold re-solve, and when the kernel dropped a singular basis for its
-    crash start.  ``backend`` names the one solver, for the JSON outputs
-    and the benchmark harness that still read it."""
+    when the result was solved from the passed basis, and False after the
+    cold re-solve that follows a singular basis or a failed warm attempt.
+    ``backend`` names the one solver, for the JSON outputs and the
+    benchmark harness that still read it."""
 
     iterations: int
     wall_time_s: float
@@ -236,18 +221,18 @@ def _tighten_bounds(A, b, lb, ub):
     return lo, hi
 
 
-def solve_lp(problem: LpProblem, max_iter: int = 0,
-             basis: tuple = None) -> LpSolution:
+def solve_lp(problem: LpProblem, basis: tuple = None) -> LpSolution:
     """Solve the LP, returning an LpSolution with verified status.
 
-    ``max_iter`` of 0 picks a size-based default.  ``basis``, such as the
-    ``basis`` of a solve of an LP of the same shape, is where the simplex
-    starts (see ``_simplex.simplex_numpy``); one of the wrong shape raises
-    ValueError.  Without one the simplex starts from the crash basis.  A
-    warm attempt's INFEASIBLE or UNBOUNDED verdict stands: the dual phase
-    proves the one and phase 2 the other whatever the start.  Only a
-    numerical failure, or an optimum that fails the feasibility check, is
-    solved again from the crash basis, and that result is reported.
+    ``basis``, such as the ``basis`` of a solve of an LP of the same
+    shape, is where the simplex starts (see ``_simplex.simplex_numpy``);
+    one of the wrong shape raises ValueError.  Without one the simplex
+    starts from the crash basis.  A warm attempt's INFEASIBLE or UNBOUNDED
+    verdict stands: the dual phase proves the one and phase 2 the other
+    whatever the start.  A singular basis, a numerical failure, or an
+    optimum that fails the feasibility check is solved once more from the
+    crash basis, and that result is reported.  An LP with no rows is
+    answered without the simplex.
     """
     diags = validate_lp(problem)
     if diags:
@@ -262,9 +247,6 @@ def solve_lp(problem: LpProblem, max_iter: int = 0,
     lb = problem.lb
     ub = problem.ub
     m, n = A.shape
-
-    if max_iter <= 0:
-        max_iter = 2000 + 60 * (m + n)
 
     if m == 0:
         # pure box problem: each variable sits at its cheaper bound
@@ -286,40 +268,35 @@ def solve_lp(problem: LpProblem, max_iter: int = 0,
     bs = b / scale
     lbt, ubt = _tighten_bounds(A, b, lb, ub)
 
-    run = _simplex.simplex_numpy
-    args = (As, bs, f.astype(float), lbt, ubt)
+    max_iter = 2000 + 60 * (m + n)
     tol = FEASIBILITY_TOL * max(1.0, np.abs(b).max())
 
-    def verified(result):
-        """(code, x, iterations, basis out, residual) of a kernel call;
-        an optimum that fails the feasibility check becomes a failure."""
-        code, x, it, out = result[:4]
+    def attempt(start):
+        """(status, x, iterations, basis out, residual) of one kernel call
+        from ``start``; an optimum that fails the feasibility check becomes
+        a numerical failure."""
+        status, x, it, out = _simplex.simplex_numpy(
+            As, bs, f, lbt, ubt, max_iter, basis=start)
         resid = float("nan")
-        if code == _simplex.OPTIMAL:
+        if status is SolveStatus.OPTIMAL:
             resid = _max_violation(problem, x, scale)
             if resid > tol:
-                code = _simplex.NUMERICAL_FAILURE
-        return code, x, int(it), out, resid
+                status = SolveStatus.NUMERICAL_FAILURE
+        return status, x, it, out, resid
 
     iters = 0
-    warm = False
-    code = _simplex.NUMERICAL_FAILURE
-    if basis is not None:
-        result = run(*args, max_iter, 0, basis=basis)
-        code, x, iters, out, resid = verified(result)
-        # a singular basis is dropped inside the kernel for the crash start
-        warm = result[4]
-    if code == _simplex.NUMERICAL_FAILURE:
-        # from the crash basis, then once more with periodic refactoring
+    warm = basis is not None
+    status = SolveStatus.NUMERICAL_FAILURE
+    if warm:
+        try:
+            status, x, iters, out, resid = attempt(basis)
+        except np.linalg.LinAlgError:
+            pass  # a singular basis
+    if status is SolveStatus.NUMERICAL_FAILURE:
         warm = False
-        for refactor_every in (0, 96):
-            result = run(*args, max_iter, refactor_every)
-            code, x, it, out, resid = verified(result)
-            iters += it
-            if code == _simplex.OPTIMAL or result[0] != _simplex.OPTIMAL:
-                break
+        status, x, it, out, resid = attempt(None)
+        iters += it
 
-    status = _STATUS_FROM_CODE[code]
     if status is SolveStatus.OPTIMAL:
         obj = float(f @ x)
     else:

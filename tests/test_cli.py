@@ -305,6 +305,31 @@ def test_bad_sweep_values_exit_2_before_any_solve(argv, bad, tmp_path,
     assert calls == []
 
 
+def test_flex_target_within_epsilon_above_the_window_runs(tmp_path):
+    # the default window holds 48 kWh; K = 48.02 with epsilon = 0.048 can
+    # still meet its band, and so can the nominal full-power profile
+    rc = cli.main(["flex", "--k", "48.02", "--out", str(tmp_path)])
+    assert rc == 0
+    assert _summary(tmp_path / "flex")["status"] == "optimal"
+
+
+@pytest.mark.parametrize("mode", [["storage"], ["sweep"], ["xcyc"],
+                                  ["mc", "--count", "2"], ["validate"]])
+def test_zero_usable_capacity_exits_2_before_any_solve(mode, tmp_path,
+                                                       capsys, monkeypatch):
+    calls = []
+    for module in ("flexarb.cli", "flexarb.analysis"):
+        monkeypatch.setattr(f"{module}.solve_lp",
+                            lambda *args, **kwargs: calls.append(args))
+    rc = cli.main(mode + ["--b-min", "0.2", "--b-max", "0.2", "--b0", "0.2",
+                          "--out", str(tmp_path)])
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "params"
+    assert "usable capacity" in err["message"]
+    assert calls == []
+
+
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     def fake_solve(problem, basis=None):
         stats = SolveStats(iterations=0, wall_time_s=0.0,

@@ -105,6 +105,20 @@ def test_zero_demand_schedules_nothing():
     assert schedule.total_cost == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("excess", [0.5, 1.0])
+def test_nominal_meets_the_band_when_k_exceeds_the_window(excess):
+    # the default EV window holds 48 steps x 4 kW x 0.25 h = 48 kWh; K
+    # within epsilon above that still passes validate, and full power
+    # through the window lands inside the deadline band
+    prices = sample_day()
+    ceiling, eps = 48.0, 0.048
+    params = FlexParams(n_steps=96, t_a=25, t_d=72, K=ceiling + excess * eps,
+                        y_max=4.0, epsilon=eps)
+    nominal = nominal_profile(params, prices)
+    assert check_flex_schedule(nominal, params, prices.h) == []
+    assert np.all(nominal.y[24:72] == 4.0)
+
+
 def test_saturated_window_pins_full_power():
     prices = synthetic_day(9, n_steps=12)
     h = prices.h

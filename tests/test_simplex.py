@@ -10,10 +10,11 @@ a random walk through all kinds of basis change, ``solve`` and ``btran``
 must invert the explicit basis matrix.  So is the crash basis: its start
 must be consistent with its own rows, bound flips alone must make the
 storage and flex starts dual-feasible, and a solve from it passed as a
-basis must be the cold solve.  The dual phase is checked on a
-bound-flipping step, a start that needs shifted costs, and an infeasible
-LP.  Iteration counts are deterministic, so budgets on them catch a slower
-start path without timing noise.
+basis must be the cold solve.  A singular given basis must raise in the
+kernel and cost ``solve_lp`` exactly one cold kernel call more.  The dual
+phase is checked on a bound-flipping step, a start that needs shifted
+costs, and an infeasible LP.  Iteration counts are deterministic, so
+budgets on them catch a slower start path without timing noise.
 """
 
 from dataclasses import replace
@@ -182,18 +183,20 @@ def test_random_lps_match_highs(highs):
 
 
 def test_refactor_every_iteration_matches_updates(monkeypatch):
-    # refactor_every=1 rebuilds K from A[T, S] and recomputes the basic
-    # values before every iteration, so no update formula is used.  Both
-    # paths must reach the same optimum, and since the kernel recomputes
-    # the basic values of its final basis, the same objective up to
-    # roundoff.
+    # Rebuilding K from A[T, S] after every pivot leaves no update formula
+    # in the inverse.  Both paths must reach the same optimum, and since
+    # the kernel recomputes the basic values of its final basis, the same
+    # objective up to roundoff.
     problems = ([p for _, p in storage_lps(count=6, seed=21)]
                 + [p for _, p in flex_lps(count=4, seed=22)]
                 + [p for _, p in random_lps(count=20, seed=23)])
     updated = [solve_lp(p) for p in problems]
-    kernel = _simplex.simplex_numpy
-    monkeypatch.setattr(_simplex, "simplex_numpy",
-                        lambda *args: kernel(*args[:-1], 1))
+    pivot = _simplex._ReducedBasis.pivot
+
+    def pivot_and_refactor(self, p, q, w):
+        pivot(self, p, q, w)
+        assert self.refactor()
+    monkeypatch.setattr(_simplex._ReducedBasis, "pivot", pivot_and_refactor)
     rebuilt = [solve_lp(p) for p in problems]
     for a, b in zip(updated, rebuilt):
         assert a.status is b.status
@@ -497,8 +500,8 @@ def test_dual_phase_reports_an_infeasible_lp():
     label, problem = list(random_lps(count=37, seed=13))[-1]
     infeasible, _, cost, dual_cost = _crash_start(problem)
     assert infeasible and not np.array_equal(dual_cost, cost)
-    status, x, iters, basis, warm = _run_kernel(problem)
-    assert status == _simplex.INFEASIBLE and not warm
+    status, x, iters, basis = _run_kernel(problem)
+    assert status is SolveStatus.INFEASIBLE
     assert solve_lp(problem).status is SolveStatus.INFEASIBLE
 
 
@@ -593,8 +596,7 @@ def test_truncated_kernel_x_matches_its_basis():
     # 400 iterations).
     for label, problem in _kappa0_lps():
         for max_iter in (10, 100, 400):
-            status, x, iters, basis, warm = _run_kernel(problem, max_iter)
-            assert not warm
+            status, x, iters, basis = _run_kernel(problem, max_iter)
             want = _values_of_basis(problem, basis)
             assert np.abs(x - want).max() <= 1e-12, (label, max_iter)
 
@@ -655,6 +657,34 @@ def test_warm_start_of_an_infeasible_lp_reports_the_cold_status(
     cold = solve_lp(bad)
     assert warm.status is cold.status is SolveStatus.INFEASIBLE
     assert warm.basis is None and warm.stats.warm_start
+
+
+def _singular_basis(problem):
+    """The epigraph column t_1 alone in a capacity row, where it has no
+    entry."""
+    m, n = problem.A.shape
+    basic = n + np.arange(m)
+    basic[n] = n // 2
+    assert problem.A[n, n // 2] == 0.0
+    return basic, np.zeros(n, bool)
+
+
+def test_kernel_raises_on_a_singular_basis():
+    problem = _ramp_lp()
+    with pytest.raises(np.linalg.LinAlgError):
+        _run_kernel(problem, basis=_singular_basis(problem))
+
+
+def test_singular_basis_costs_one_cold_kernel_call(monkeypatch):
+    problem = _ramp_lp()
+    kernel = _simplex.simplex_numpy
+    starts = []
+    monkeypatch.setattr(_simplex, "simplex_numpy",
+                        lambda *args, basis: starts.append(basis)
+                        or kernel(*args, basis=basis))
+    sol = solve_lp(problem, basis=_singular_basis(problem))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert len(starts) == 2 and starts[1] is None
 
 
 def test_singular_basis_falls_back_to_the_crash():
