@@ -22,7 +22,6 @@ from .lp import (
     LpValidationError,
     SolveStats,
     SolveStatus,
-    constraint_report,
     dump_lp,
     solve_lp,
     validate_lp,
@@ -70,7 +69,6 @@ from .analysis import (
     ramp_rate_sweep,
     solve_storage_day,
     switching_count,
-    write_mc_json,
     write_sweep_csv,
     write_sweep_json,
     xc_yc_sweep,
@@ -103,7 +101,6 @@ __all__ = [
     "build_storage_lp",
     "check_flex_schedule",
     "check_storage_schedule",
-    "constraint_report",
     "consumed_power",
     "default_price_generator",
     "derive_sell_prices",
@@ -127,7 +124,6 @@ __all__ = [
     "switching_count",
     "synthetic_day",
     "validate_lp",
-    "write_mc_json",
     "write_sweep_csv",
     "write_sweep_json",
     "xc_yc_sweep",

@@ -1,4 +1,4 @@
-"""Bounded-variable revised simplex.
+"""Bounded dual simplex for boxed and elastic LPs.
 
 ``simplex_numpy`` solves  min c.x  s.t.  A x <= b,  lb <= x <= ub  after
 the caller has row-equilibrated A.  Slack variables are handled
@@ -9,35 +9,36 @@ implicitly (see ``_ReducedBasis``).  Storage LPs have 2-3x more rows than
 columns and k stays well below m, so a pivot costs O(k^2 + m k) instead
 of O(m^2).
 
+The kernel takes one class of LP, which ``solve_lp`` checks before it
+calls it.  Every column is boxed, with both bounds within ``_HUGE_BND``,
+or elastic: exactly one bound lies beyond ``_HUGE_BND``, moving toward it
+relaxes every row the column has a nonzero in (see ``elastic_columns``),
+and it never lowers the cost.  The epigraph columns t_i of the storage
+and flex LPs are elastic.
+
 A solve starts from a given basis, such as the optimal basis of an LP
 that differs in ``b`` (the next point of a ramp-rate sweep), or else from
-the elastic-column crash basis of ``_crash``.  The crash only picks a
-basis: columns that only relax their rows as they grow toward a huge
-bound, such as the epigraph columns t_i of the storage and flex LPs, are
-basic in their binding rows, the other rows keep their slacks, and every
+the elastic-column crash basis of ``_crash``: elastic columns are basic
+in their binding rows, the other rows keep their slacks, and every
 nonbasic column rests on a bound.
 
-Every start then takes one path to primal feasibility, the bounded dual
-simplex of ``_dual_phase``.  Boxed nonbasic columns first move to the
-bounds their reduced costs ask for.  ``solve_lp``'s bound tightening boxes
-every column of the storage and flex LPs, and on every one tested that
-alone has made the start dual-feasible.  A variable still dual-infeasible
-(a slack, or a column with an infinite or huge bound) has its cost
-shifted until its reduced cost is zero, and the dual simplex runs with
-those costs; phase 2 then continues from its primal-feasible basis with
-the true costs.  An infeasible LP is reported by the dual phase, since
-primal feasibility depends on neither the costs nor the start.  The dual
-ratio test flips boxed columns past their breakpoints while the leaving
-row stays infeasible (bound flipping), so one dual iteration can move many
-columns.
+Boxed nonbasic columns first move to the bounds their reduced costs ask
+for.  At the crash basis that alone makes every LP of the class
+dual-feasible: the duals are nonzero only on the rows the elastic columns
+claim, where they have the sign of a slack's, and no other elastic column
+has a nonzero there.  A dual-feasible start also proves the LP bounded.
+The bounded dual simplex of ``_dual_phase`` then brings the basis to
+primal feasibility, and so to the optimum; it is the only simplex loop.
+An infeasible LP is reported by the dual phase.  The dual ratio test
+flips boxed columns past their breakpoints while the leaving row stays
+infeasible (bound flipping), so one dual iteration can move many columns.
+A given basis that flips cannot make dual-feasible ends
+``NUMERICAL_FAILURE`` before any iteration, and ``solve_lp`` re-solves the
+LP from the crash basis.
 
-Phase 2 picks entering variables by Dantzig pricing with a switch to
-Bland's rule after a run of degenerate pivots, so the iteration is finite
-and deterministic; leaving ones by a two-pass Harris ratio test with
-bounds relaxed by 1e-9.  A leaving variable that the ratio test snaps onto
-a bound it had already crossed moves the basic values with it, and the
-final basic values are solved afresh from A[T, S] at the optimum.  Every
-solve returns its final basis in the crash's layout for the next solve.
+At the end the reduced costs are checked once more with the true costs,
+and the basic values are solved afresh from A[T, S].  Every solve returns
+its final basis in the crash's layout for the next solve.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import numpy as np
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     NUMERICAL_FAILURE = "numerical_failure"
 
 
@@ -58,16 +58,15 @@ class SolveStatus(enum.Enum):
 _BASIC = 0
 _AT_LB = 1
 _AT_UB = 2
-_FREE = 3  # free structural resting at zero, off any bound
 
 _TOL_D = 1e-9       # reduced-cost optimality tolerance
 _EPS_A = 1e-10      # column entries below this are treated as exact zeros
-_RELAX = 1e-9       # primal feasibility tolerance and Harris bound relaxation
+_RELAX = 1e-9       # primal feasibility tolerance
 _TINY_PIV = 1e-11   # hard floor: pivoting on less than this is failure
 _DEGEN_EPS = 1e-12  # step sizes below this count as degenerate
 _BLAND_AFTER = 50   # consecutive degenerate pivots before Bland's rule
-_HUGE_BND = 1e8     # bounds beyond this are huge: the crash avoids them and
-                    # no column flips to one
+_HUGE_BND = 1e8     # bounds beyond this are far: only an elastic column may
+                    # have one, and no column rests or flips onto it
 
 
 class _ReducedBasis:
@@ -249,65 +248,63 @@ class _ReducedBasis:
 
 
 #: Pricing sign per variable state: the score, sign times reduced cost, is
-#: positive where moving off the bound lowers the cost.  A free column's
-#: score is |d| and is set apart.
-_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
+#: positive where moving off the bound lowers the cost.
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0])
 
 
-def _scores(d, vstat, movable, has_free=True):
-    """Pricing scores: positive where moving a nonbasic variable off its
-    bound lowers the cost.  A free column leaves zero in the direction that
-    lowers the cost and, with both bounds infinite, never leaves the basis
-    again; its score is |d|.  ``has_free`` False skips the search for free
-    columns, which costs a few percent of a pivot."""
-    score = d * _PRICE_SIGN[vstat] * movable
-    if has_free:
-        free = np.flatnonzero(vstat == _FREE)
-        score[free] = np.abs(d[free])
-    return score
+def _scores(A, cost, basic, basis, vstat, movable):
+    """Pricing scores of a basis, the reduced costs signed by each
+    nonbasic variable's bound: positive where moving the variable off its
+    bound lowers the cost, so the basis is dual-feasible where none
+    exceeds ``_TOL_D``."""
+    y = basis.btran(cost[basic])
+    d = np.concatenate([cost[:A.shape[1]] - y @ A, -y])
+    return d * _PRICE_SIGN[vstat] * movable
+
+
+def elastic_columns(A, lb, ub):
+    """Mask of the elastic columns of  A x <= b,  lb <= x <= ub.
+
+    A column is elastic when exactly one of its bounds lies beyond
+    ``_HUGE_BND`` and each of its nonzeros relaxes its row as the column
+    moves toward that far bound: no positive entry for a far upper bound,
+    no negative one for a far lower bound.  The epigraph columns of the
+    storage and flex LPs are elastic.  Row scaling keeps the mask.
+    """
+    lo_far = np.abs(lb) > _HUGE_BND
+    hi_far = np.abs(ub) > _HUGE_BND
+    return ((hi_far & ~lo_far & (A.max(axis=0, initial=0.0) <= 0.0))
+            | (lo_far & ~hi_far & (A.min(axis=0, initial=0.0) >= 0.0)))
 
 
 def _crash(A, b, lb, ub):
-    """Elastic-column crash basis of  A x <= b,  lb <= x <= ub.
+    """Elastic-column crash basis of  A x <= b,  lb <= x <= ub, an LP of
+    the kernel's class.
 
     1. Every column rests at its upper bound, or at its lower one where
-       the upper lies beyond ``_HUGE_BND``.  A column with both bounds
-       huge rests at the bound its column sum points to (never an infinite
-       one), and one with both infinite is free at zero.
-    2. A column is elastic when exactly one of its bounds lies beyond
-       ``_HUGE_BND`` and each of its nonzeros relaxes its row as the column
-       moves toward that bound, such as the epigraph columns of the storage
-       and flex LPs.  Each elastic column becomes basic in its binding row,
-       the row that needs the largest move toward its huge bound, unless
-       the move is negative, would take the column beyond ``_HUGE_BND``
-       (past its far bound), or another elastic column shares one of its
-       rows.  The claimed rows form T and A[T, S] is diagonal.
+       the upper lies beyond ``_HUGE_BND``.
+    2. Each elastic column (see ``elastic_columns``) becomes basic in its
+       binding row, the row that needs the largest move toward its far
+       bound, unless the move is negative, would take the column beyond
+       ``_HUGE_BND`` (past its far bound), or another elastic column
+       shares one of its rows.  The claimed rows form T and A[T, S] is
+       diagonal.
     3. Every other row keeps its slack.
 
     Returns the basis as (basic, at_ub) in the form ``check_basis`` takes,
     with row i's slack or the column that claimed row i at position i.
     """
     m, n = A.shape
-    lo_ok = np.abs(lb) <= _HUGE_BND
-    hi_ok = np.abs(ub) <= _HUGE_BND
-    huge = ~lo_ok & ~hi_ok
-    at_ub = hi_ok.copy()
-    # the column sum picks the bound, but never an infinite one
-    at_ub[huge] = ((A[:, huge].sum(axis=0) < 0.0) & ~np.isinf(ub[huge])
-                   | np.isinf(lb[huge]))
+    at_ub = np.abs(ub) <= _HUGE_BND
     x = np.where(at_ub, ub, lb)
-    x[huge & np.isinf(lb) & np.isinf(ub)] = 0.0
 
-    amax = A.max(axis=0, initial=0.0)
-    amin = A.min(axis=0, initial=0.0)
-    E = np.flatnonzero((lo_ok & ~hi_ok & (amax <= 0.0) & (amin < 0.0))
-                       | (hi_ok & ~lo_ok & (amin >= 0.0) & (amax > 0.0)))
-    toward = np.where(hi_ok[E], -1.0, 1.0)  # each one's way to its huge bound
+    E = np.flatnonzero(elastic_columns(A, lb, ub))
+    toward = np.where(at_ub[E], -1.0, 1.0)  # each one's way to its far bound
     AEt = A.T[E]
     nzE = AEt != 0.0
     touch = nzE.sum(axis=0)  # elastic columns per row
     # the binding row of each elastic column needs the largest move,
-    # r_i / (a_ij * toward)
+    # r_i / (a_ij * toward); a column with no nonzero has none
     r = b - A @ x
     need = np.divide(r, AEt * toward[:, None],
                      out=np.full(AEt.shape, -np.inf), where=nzE)
@@ -354,9 +351,9 @@ def _warm_start(A, lb, ub, basic_in, at_ub):
 
     Slacks sit in their own rows and the structurals fill the other rows
     in the given order.  Nonbasic structurals rest at the bound ``at_ub``
-    names (the finite one if it is infinite, zero if both are).  Returns
-    (vstat, xval, basic, basis); a singular basis raises
-    ``np.linalg.LinAlgError``.
+    names, or at the other one where that bound lies beyond
+    ``_HUGE_BND``.  Returns (vstat, xval, basic, basis); a singular basis
+    raises ``np.linalg.LinAlgError``.
     """
     m, n = A.shape
     slack = basic_in >= n
@@ -365,15 +362,12 @@ def _warm_start(A, lb, ub, basic_in, at_ub):
     own[basic_in[slack] - n] = False
     basic[own] = basic_in[~slack]
     basis = _ReducedBasis(A, basic)
-    lo_ok = np.isfinite(lb)
-    hi_ok = np.isfinite(ub)
-    up = hi_ok & (at_ub | ~lo_ok)
-    free = ~lo_ok & ~hi_ok
+    up = (np.abs(ub) <= _HUGE_BND) & (at_ub | (np.abs(lb) > _HUGE_BND))
     vstat = np.full(n + m, _AT_LB)
-    vstat[:n] = np.where(up, _AT_UB, np.where(free, _FREE, _AT_LB))
+    vstat[:n] = np.where(up, _AT_UB, _AT_LB)
     vstat[basic] = _BASIC
     xval = np.zeros(n + m)
-    xval[:n] = np.where(up, ub, np.where(free, 0.0, lb))
+    xval[:n] = np.where(up, ub, lb)
     return vstat, xval, basic, basis
 
 
@@ -387,25 +381,19 @@ def _flip(vstat, xval, LB, UB, cols):
     return xval[cols] - old
 
 
-def _dual_costs(A, cost, LB, UB, vstat, xval, basic, basis, movable,
-                boxed):
-    """Make a basis dual-feasible for the dual phase.
+def _flip_pass(A, cost, LB, UB, vstat, xval, basic, basis, movable, boxed):
+    """Make a basis dual-feasible by bound flips alone.
 
     Every boxed nonbasic column whose reduced cost has the wrong sign moves
-    to its other bound (in place in ``vstat`` and ``xval``).  Each nonbasic
-    variable that is still dual-infeasible, such as a slack or a column
-    with one infinite bound, gets its cost shifted by minus its reduced
-    cost, so that reduced cost is zero.  Returns the shifted costs, equal
-    to ``cost`` where no shift was needed.
+    to its other bound (in place in ``vstat`` and ``xval``).  Returns
+    whether the basis is then dual-feasible: False when a slack or an
+    elastic column is still dual-infeasible, which no flip can repair.
     """
-    n = A.shape[1]
-    y = basis.btran(cost[basic])
-    d = np.concatenate([cost[:n] - y @ A, -y])
-    score = _scores(d, vstat, movable)
+    score = _scores(A, cost, basic, basis, vstat, movable)
     flip = np.flatnonzero(boxed & (score > _TOL_D))
     _flip(vstat, xval, LB, UB, flip)
     score[flip] = -score[flip]
-    return cost - np.where(score > _TOL_D, d, 0.0)
+    return not (score > _TOL_D).any()
 
 
 def _flip_walk(elig, ratio, harris, gain, slope):
@@ -492,9 +480,6 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
         sign = _PRICE_SIGN[vstat] * movable
         e = (alpha if to_lb else -alpha) * sign
         slack_d = np.maximum(-d * sign, 0.0)
-        free = np.flatnonzero(vstat == _FREE)
-        e[free] = np.abs(alpha[free])
-        slack_d[free] = 0.0
         elig = np.flatnonzero(e > _EPS_A)
         if elig.size == 0:
             return SolveStatus.INFEASIBLE, xB, iters
@@ -542,17 +527,20 @@ def _dual_phase(A, cost, LB, UB, vstat, xval, basic, xB, basis, movable,
 
 
 def simplex_numpy(A, b, c, lb, ub, max_iter, *, basis=None):
-    """Solve from ``basis`` when one is given, or from the crash basis.
+    """Solve an LP of the kernel's class from ``basis`` when one is given,
+    or from the crash basis.
 
     Both take one path: ``_warm_start`` turns the basis (see
-    ``check_basis``) into the kernel state, ``_dual_costs`` makes it
-    dual-feasible, ``_dual_phase`` brings it to primal feasibility, and
-    phase 2 finishes with the true costs.  A singular given basis raises
+    ``check_basis``) into the kernel state, ``_flip_pass`` makes it
+    dual-feasible, and ``_dual_phase`` brings it to primal feasibility.  A
+    check of the true reduced costs and a fresh solve of the basic values
+    from the final basis follow.  A singular given basis raises
     ``np.linalg.LinAlgError``.  A has at least one row.
 
     Returns (status, x, iterations, basis out): status is a
-    ``SolveStatus``, and the basis is in the form ``check_basis`` takes,
-    whatever the status.
+    ``SolveStatus``, ``NUMERICAL_FAILURE`` with no iteration for a basis
+    that flips cannot make dual-feasible, and the basis is in the form
+    ``check_basis`` takes, whatever the status.
     """
     m, n = A.shape
     LB = np.concatenate([lb, np.zeros(m)])
@@ -562,141 +550,29 @@ def simplex_numpy(A, b, c, lb, ub, max_iter, *, basis=None):
              & (UB > LB))
     cost = np.concatenate([c, np.zeros(m)])
 
-    def recompute_xb():
-        nb = vstat[:n] != _BASIC
-        return basis.solve(b - A[:, nb] @ xval[:n][nb])
-
     if basis is None:
         basis = _crash(A, b, lb, ub)
     vstat, xval, basic, basis = _warm_start(A, lb, ub, *basis)
-    dual_cost = _dual_costs(A, cost, LB, UB, vstat, xval, basic, basis,
-                            movable, boxed)
-    status, xB, iters = _dual_phase(
-        A, dual_cost, LB, UB, vstat, xval, basic, recompute_xb(), basis,
-        movable, boxed, max_iter)
-
-    has_free = bool((vstat[:n] == _FREE).any())
-    degen_run = 0
-    bland = False
-
-    while status is None:
-        if iters >= max_iter:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        if iters > 0 and iters % 512 == 0:
-            xB = recompute_xb()
-
-        y = basis.btran(cost[basic])
-
-        # reduced costs of structurals and slacks; a variable is eligible
-        # where its score, the reduced cost signed by its bound, is > _TOL_D
-        d = np.concatenate([cost[:n] - y @ A, -y])
-        score = _scores(d, vstat, movable, has_free)
-        q = int(np.argmax(score))
-        if score[q] <= _TOL_D:
+    feasible = _flip_pass(A, cost, LB, UB, vstat, xval, basic, basis,
+                          movable, boxed)
+    nb = vstat[:n] != _BASIC
+    xB = basis.solve(b - A[:, nb] @ xval[:n][nb])
+    status, iters = SolveStatus.NUMERICAL_FAILURE, 0
+    if feasible:
+        status, xB, iters = _dual_phase(A, cost, LB, UB, vstat, xval, basic,
+                                        xB, basis, movable, boxed, max_iter)
+    if status is None:
+        status = SolveStatus.NUMERICAL_FAILURE
+        if _scores(A, cost, basic, basis, vstat, movable).max() <= _TOL_D:
             # report the basic values of the final basis solved afresh from
             # A[T, S] x_S = r[T], not the updated ones, which carry the
-            # roundoff of steps as long as 1e9-scale bound flips and of
-            # every update of K
+            # roundoff of every bound flip and every update of K
             nb = vstat[:n] != _BASIC
             try:
                 xB = basis.solve(b - A[:, nb] @ xval[:n][nb], fresh=True)
+                status = SolveStatus.OPTIMAL
             except np.linalg.LinAlgError:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-            status = SolveStatus.OPTIMAL
-            break
-
-        if bland:
-            q = int(np.argmax(score > _TOL_D))
-        best_dir = 1 if vstat[q] == _AT_LB else -1
-        if vstat[q] == _FREE and d[q] < 0.0:
-            best_dir = 1
-
-        w = basis.ftran(q)
-
-        alpha = best_dir * w
-        lo = LB[basic]
-        hi = UB[basic]
-        up = alpha > _EPS_A
-        moves = up | (alpha < -_EPS_A)
-        gap_lo = xB - lo
-        gap_hi = xB - hi
-        # Harris pass 1 against bounds relaxed by _RELAX.  Each row may end
-        # that far violated; with 1e-7 the epigraph rows of a day with zero
-        # sell prices all did, and the objective moved by ~1e-5
-        ti_rel = np.divide(np.where(up, gap_lo + _RELAX, gap_hi - _RELAX),
-                           alpha, out=np.full(m, np.inf), where=moves)
-        np.maximum(ti_rel, 0.0, out=ti_rel)
-        t_rel = ti_rel.min()
-        t_flip = UB[q] - LB[q]
-        if not (t_rel < np.inf) and not (t_flip < np.inf):
-            status = SolveStatus.UNBOUNDED
-            break
-
-        if t_flip <= t_rel:
-            delta = best_dir * t_flip
-            xB -= w * delta
-            if vstat[q] == _AT_LB:
-                vstat[q] = _AT_UB
-                xval[q] = UB[q]
-            else:
-                vstat[q] = _AT_LB
-                xval[q] = LB[q]
-            iters += 1
-            if t_flip > _DEGEN_EPS:
-                degen_run = 0
-                bland = False
-            continue
-
-        ti = np.divide(np.where(up, gap_lo, gap_hi), alpha,
-                       out=np.full(m, np.inf), where=moves)
-        np.maximum(ti, 0.0, out=ti)
-        idx = np.nonzero(ti <= t_rel)[0]
-        if idx.size == 0:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        if bland:
-            rpos = idx[np.argmin(basic[idx])]
-        else:
-            rpos = idx[np.argmax(np.abs(w[idx]))]
-        if abs(w[rpos]) < _TINY_PIV:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        t_star = ti[rpos]
-        # a leaving variable already beyond its bound (a negative true
-        # ratio, clipped to 0) is snapped onto that bound below
-        beyond = gap_lo[rpos] < 0.0 if up[rpos] else gap_hi[rpos] > 0.0
-
-        delta = best_dir * t_star
-        xB -= w * delta
-        leaving = basic[rpos]
-        if best_dir * w[rpos] > 0.0:
-            vstat[leaving] = _AT_LB
-            xval[leaving] = LB[leaving]
-        else:
-            vstat[leaving] = _AT_UB
-            xval[leaving] = UB[leaving]
-        snap = xval[leaving] - xB[rpos]
-        enter_val = xval[q] + delta
-        basic[rpos] = q
-        vstat[q] = _BASIC
-        xB[rpos] = enter_val
-
-        basis.pivot(rpos, q, w)
-        if beyond:
-            # moving the leaving variable by snap moves the basic values by
-            # its column in the new basis
-            xB -= snap * basis.ftran(leaving)
-
-        iters += 1
-        if t_star <= _DEGEN_EPS:
-            degen_run += 1
-            if degen_run > _BLAND_AFTER:
-                bland = True
-        else:
-            degen_run = 0
-            bland = False
+                pass
 
     x = xval[:n].copy()
     struct = basic < n

@@ -333,8 +333,3 @@ def mc_to_dict(report: McReport, include_wall_time: bool = True) -> dict:
         out["mean_wall_time_s"] = report.mean_wall_time_s
     return out
 
-
-def write_mc_json(report: McReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mc_to_dict(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")

@@ -60,9 +60,9 @@ overrides the matching key.  Schema:
     count = 1000
     steps = 96
 
-Exit codes: 0 success, 2 config or input validation failure, 3 solver
-failure, 4 I/O failure.  Failures print a one-line JSON object to stderr:
-``{"error": {"code": ..., "kind": ..., "message": ...}}``.
+Exit codes: 0 success, 2 usage, config or input validation failure, 3
+solver failure, 4 I/O failure.  Failures print a one-line JSON object to
+stderr: ``{"error": {"code": ..., "kind": ..., "message": ...}}``.
 """
 
 from __future__ import annotations
@@ -640,8 +640,17 @@ def _add_storage_params(p: argparse.ArgumentParser) -> None:
                    help="set tau to this fraction of the swing limits")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one-line JSON error, with exit 2.
+    ``--help`` and ``--version`` still print and exit 0."""
+
+    def error(self, message):
+        sys.exit(_emit_error(CliError(EXIT_CONFIG, "usage",
+                                      f"{self.prog}: {message}")))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flexarb",
         description="Storage arbitrage and flexible-load scheduling runs.")
     parser.add_argument("--version", action="version",

@@ -6,9 +6,10 @@ The canonical form used throughout the package is
     subject to  A x <= b
                 lb <= x <= ub
 
-``solve_lp`` row-equilibrates A, solves it with the bounded-variable
-simplex of :mod:`flexarb._simplex`, and verifies the returned point
-against the original (unscaled) data before reporting it as optimal.
+``solve_lp`` checks that the LP is of the solver's class, row-equilibrates
+A, solves it with the bounded dual simplex of :mod:`flexarb._simplex`, and
+verifies the returned point against the original (unscaled) data before
+reporting it as optimal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ FEASIBILITY_TOL = 1e-6
 
 
 class LpValidationError(ValueError):
-    """Raised when an LpProblem fails validate_lp checks before solving."""
+    """Raised before solving when an LpProblem fails ``validate_lp``, or
+    when a column lies outside the solver's class after bound tightening
+    (see ``solve_lp``); ``diagnostics`` lists the reasons."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
@@ -47,8 +50,8 @@ class LpProblem:
     """Immutable description of one LP instance.
 
     ``row_labels`` / ``col_labels`` are optional diagnostic tags used by
-    ``dump_lp`` and by constraint-violation messages; they carry no
-    mathematical meaning.
+    ``dump_lp`` and by the column diagnostics of ``validate_lp`` and
+    ``solve_lp``; they carry no mathematical meaning.
     """
 
     f: np.ndarray
@@ -81,13 +84,13 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """How a solve went.  ``iterations`` counts the dual and primal simplex
-    iterations of both kernel attempts; a dual iteration counts once,
-    however many columns its ratio test flips.  ``warm_start`` is True
-    when the result was solved from the passed basis, and False after the
-    cold re-solve that follows a singular basis or a failed warm attempt.
-    ``backend`` names the one solver, for the JSON outputs and the
-    benchmark harness that still read it."""
+    """How a solve went.  ``iterations`` counts the dual simplex
+    iterations of both kernel attempts, the only ones the kernel makes; an
+    iteration counts once, however many columns its ratio test flips.
+    ``warm_start`` is True when the result was solved from the passed
+    basis, and False after the cold re-solve that follows a singular basis
+    or a failed warm attempt.  ``backend`` names the one solver, for the
+    JSON outputs and the benchmark harness that still read it."""
 
     iterations: int
     wall_time_s: float
@@ -113,6 +116,11 @@ class LpSolution:
         if self.basis is not None:
             object.__setattr__(self, "basis", tuple(
                 _ro(v, dtype=v.dtype) for v in self.basis))
+
+
+def _col_label(problem: LpProblem, j) -> str:
+    return (problem.col_labels[j] if problem.col_labels is not None
+            else f"col {j}")
 
 
 def validate_lp(problem: LpProblem) -> list:
@@ -144,9 +152,7 @@ def validate_lp(problem: LpProblem) -> list:
         return diags
     bad = np.nonzero(lb > ub)[0]
     for j in bad[:5]:
-        label = (problem.col_labels[j] if problem.col_labels is not None
-                 else f"col {j}")
-        diags.append(f"empty bound interval at {label}: "
+        diags.append(f"empty bound interval at {_col_label(problem, j)}: "
                      f"lb={lb[j]:.6g} > ub={ub[j]:.6g}")
     if bad.size > 5:
         diags.append(f"... and {bad.size - 5} more empty bound intervals")
@@ -221,18 +227,42 @@ def _tighten_bounds(A, b, lb, ub):
     return lo, hi
 
 
+def _class_diagnostic(problem: LpProblem, lo, hi):
+    """Why the first column outside the kernel's class (see ``_simplex``)
+    lies outside it, given the tightened bounds, or None."""
+    far = np.abs(np.stack([lo, hi])) > _simplex._HUGE_BND
+    elastic = _simplex.elastic_columns(problem.A, lo, hi)
+    falls = elastic & np.where(far[1], problem.f < 0.0, problem.f > 0.0)
+    bad = np.flatnonzero(far.any(axis=0) & ~elastic | falls)
+    if not bad.size:
+        return None
+    j = bad[0]
+    why = ("both bounds lie" if far[:, j].all()
+           else "its cost falls toward a bound" if falls[j]
+           else "it tightens a row moving toward a bound")
+    return (f"column {_col_label(problem, j)} is neither boxed nor elastic: "
+            f"{why} beyond 1e8 after bound tightening")
+
+
 def solve_lp(problem: LpProblem, basis: tuple = None) -> LpSolution:
     """Solve the LP, returning an LpSolution with verified status.
+
+    The LP must be of the kernel's class once its sentinel bounds are
+    tightened: every column boxed within 1e8, or elastic, with one bound
+    beyond 1e8 toward which it relaxes each of its rows and never lowers
+    the cost (see ``_simplex``).  Such an LP is bounded, so the status is
+    OPTIMAL, INFEASIBLE or NUMERICAL_FAILURE.  Any other LP, like one that
+    fails ``validate_lp``, raises LpValidationError, naming the column.
 
     ``basis``, such as the ``basis`` of a solve of an LP of the same
     shape, is where the simplex starts (see ``_simplex.simplex_numpy``);
     one of the wrong shape raises ValueError.  Without one the simplex
-    starts from the crash basis.  A warm attempt's INFEASIBLE or UNBOUNDED
-    verdict stands: the dual phase proves the one and phase 2 the other
-    whatever the start.  A singular basis, a numerical failure, or an
-    optimum that fails the feasibility check is solved once more from the
-    crash basis, and that result is reported.  An LP with no rows is
-    answered without the simplex.
+    starts from the crash basis.  A warm attempt's INFEASIBLE verdict
+    stands: the dual phase proves it whatever the start.  A singular
+    basis, a numerical failure (a basis that bound flips cannot make
+    dual-feasible among them), or an optimum that fails the feasibility
+    check is solved once more from the crash basis, and that result is
+    reported.  An LP with no rows is answered without the simplex.
     """
     diags = validate_lp(problem)
     if diags:
@@ -247,26 +277,21 @@ def solve_lp(problem: LpProblem, basis: tuple = None) -> LpSolution:
     lb = problem.lb
     ub = problem.ub
     m, n = A.shape
-
-    if m == 0:
-        # pure box problem: each variable sits at its cheaper bound
-        x = np.where(f >= 0.0, lb, ub)
-        unb = ((f > 0.0) & np.isneginf(lb)) | ((f < 0.0) & np.isposinf(ub))
-        if unb.any():
-            status = SolveStatus.UNBOUNDED
-            x = np.zeros(n)
-            obj = float("nan")
-        else:
-            status = SolveStatus.OPTIMAL
-            obj = float(f @ x)
-        stats = SolveStats(0, time.perf_counter() - t0, 0.0)
-        return LpSolution(x, obj, status, stats)
-
     # row equilibration: scale every row of [A | b] so max |A_ij| is one
     scale = _row_scale(A)
     As = A / scale[:, None]
     bs = b / scale
     lbt, ubt = _tighten_bounds(A, b, lb, ub)
+    diag = _class_diagnostic(problem, lbt, ubt)
+    if diag is not None:
+        raise LpValidationError([diag])
+
+    if m == 0:
+        # pure box problem: each variable sits at its cheaper bound, and an
+        # elastic one at the bound within 1e8
+        x = np.where((f >= 0.0) & (np.abs(lb) <= _simplex._HUGE_BND), lb, ub)
+        stats = SolveStats(0, time.perf_counter() - t0, 0.0)
+        return LpSolution(x, float(f @ x), SolveStatus.OPTIMAL, stats)
 
     max_iter = 2000 + 60 * (m + n)
     tol = FEASIBILITY_TOL * max(1.0, np.abs(b).max())
@@ -323,18 +348,6 @@ def _max_violation(problem: LpProblem, x: np.ndarray,
     worst = max(worst, float((problem.lb - x).max(initial=0.0)))
     worst = max(worst, float((x - problem.ub).max(initial=0.0)))
     return float(worst)
-
-
-def constraint_report(problem: LpProblem, x: np.ndarray,
-                      tol: float = FEASIBILITY_TOL) -> list:
-    """Rows violated by x beyond tol, as (index, label, violation) tuples."""
-    r = (problem.A @ x - problem.b) / _row_scale(problem.A)
-    out = []
-    for i in np.nonzero(r > tol)[0]:
-        label = (problem.row_labels[i] if problem.row_labels is not None
-                 else f"row {i}")
-        out.append((int(i), label, float(r[i])))
-    return out
 
 
 def dump_lp(problem: LpProblem, path) -> None:

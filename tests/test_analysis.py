@@ -11,8 +11,8 @@ from flexarb.analysis import (McReport, arbitrage_gain, default_price_generator,
                               equivalent_full_cycles, mc_to_dict,
                               monte_carlo_run, ramp_rate_sweep,
                               solve_storage_day, sweep_to_dict,
-                              switching_count, write_mc_json,
-                              write_sweep_csv, write_sweep_json, xc_yc_sweep)
+                              switching_count, write_sweep_csv,
+                              write_sweep_json, xc_yc_sweep)
 from flexarb.flexibility import FlexParams, build_flex_lp, \
     extract_flex_schedule, nominal_profile
 from flexarb.lp import LpSolution, SolveStats, SolveStatus, solve_lp
@@ -237,7 +237,7 @@ def test_sweep_to_dict_maps_nan_to_none():
     json.dumps(data, allow_nan=False)  # must be strictly JSON-safe
 
 
-def test_mc_serialisation(tmp_path):
+def test_mc_serialisation():
     params = StorageParams(b_min=0.2, b_max=1.0, b_0=0.2, delta_min=-0.5,
                            delta_max=0.5)
     report = monte_carlo_run(params, default_price_generator(n_steps=12),
@@ -249,9 +249,6 @@ def test_mc_serialisation(tmp_path):
     assert "mean_wall_time_s" in data
     lean = mc_to_dict(report, include_wall_time=False)
     assert "mean_wall_time_s" not in lean
-    path = tmp_path / "mc.json"
-    write_mc_json(report, path)
-    assert json.loads(path.read_text())["total_gain"] == report.total_gain
 
 
 def test_mc_report_mean_wall_time():

@@ -13,6 +13,8 @@ import pytest
 
 import flexarb
 from flexarb import cli
+from flexarb.analysis import (default_price_generator, mc_to_dict,
+                              monte_carlo_run)
 from flexarb.lp import LpSolution, SolveStats, SolveStatus
 from flexarb.pricing import save_price_json, synthetic_day
 from flexarb.storage import StorageParams, StorageSchedule, \
@@ -153,6 +155,14 @@ def test_mc_small_batch(tmp_path):
     assert data["scenario_count"] == 5
     assert len(data["objectives"]) == 5
     assert data["failures"] == []
+    # mc.json is mc_to_dict of the same run
+    report = monte_carlo_run(StorageParams(b_min=0.2, b_max=1.0, b_0=0.2,
+                                           delta_min=-0.5, delta_max=0.5,
+                                           eta_ch=0.95, eta_dis=0.95),
+                             default_price_generator(n_steps=24), 5, 9)
+    for key in ("total_wall_time_s", "mean_wall_time_s"):
+        assert data.pop(key) > 0.0
+    assert data == mc_to_dict(report, include_wall_time=False)
     lines = (run_dir / "mc.csv").read_text().splitlines()
     assert lines[0] == "scenario,objective,wall_time_s"
     assert len(lines) == 6
@@ -209,6 +219,14 @@ def test_validate_prints_report(tmp_path, capsys):
     assert report["n_steps"] == 96
     assert report["storage"]["b_max"] == 1.0
     assert not (tmp_path / "validate").exists()  # solves and writes nothing
+    # a [flex] section adds the flex parameters to the storage ones
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[flex]\nt_a = 10\nt_d = 40\nk = 20\n")
+    assert cli.main(["validate", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["storage"]["b_max"] == 1.0
+    assert (report["flex"]["t_a"], report["flex"]["t_d"]) == (10, 40)
+    assert report["flex"]["k"] == 20.0
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -260,6 +278,51 @@ def test_malformed_config_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == 2
     assert _stderr_error(capsys)["kind"] == "config"
+
+
+@pytest.mark.parametrize("mode, ini, kind, message", [
+    ("storage", None, "config", "config file not found"),
+    ("storage", "[run]\nseed = -1\n", "config", "[run] seed"),
+    ("mc", "[run]\nformat = xml\n", "config", "got 'xml'"),
+    ("storage", "[storage]\ntau_min = -0.1\ntau_max = 0.1\n"
+     "tau_fraction = 0.5\n", "params", "not both"),
+    ("validate", "[flex]\nt_a = 50\nt_d = 40\n", "params", "t_d=40"),
+], ids=["missing", "seed", "format", "tau", "flex window"])
+def test_config_errors_exit_2(mode, ini, kind, message, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    if ini is not None:
+        cfg.write_text(ini)
+    rc = cli.main([mode, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["code"] == 2 and err["kind"] == kind
+    assert message in err["message"]
+    assert not (tmp_path / mode).exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["storage", "--delta-min", "-1e-09"], "expected one argument"),
+    (["storage", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["negative exponent", "unknown flag"])
+def test_usage_errors_are_json_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = _stderr_error(capsys)
+    assert err["code"] == 2 and err["kind"] == "usage"
+    assert message in err["message"]
+    # help and version are no errors
+    for ok in (["--version"], ["storage", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(ok)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_negative_exponent_after_an_equals_sign_runs(tmp_path):
+    assert cli.main(["storage", "--delta-min=-1e-09",
+                     "--out", str(tmp_path)]) == 0
+    assert _summary(tmp_path / "storage")["params"]["delta_min"] == -1e-09
 
 
 def test_bad_params_exit_2(tmp_path, capsys):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from flexarb.lp import (LpProblem, LpValidationError, SolveStatus, dump_lp,
-                        solve_lp, validate_lp)
+from flexarb import cli, lp
+from flexarb.lp import (BIG_BOUND, LpProblem, LpValidationError, SolveStatus,
+                        dump_lp, solve_lp, validate_lp)
 from flexarb.oracle import solve_storage_oracle
 from flexarb.pricing import PriceSignal, synthetic_day
 from flexarb.storage import StorageParams, build_storage_lp, \
@@ -79,14 +80,6 @@ def test_infeasible_status():
     assert np.isnan(sol.objective)
 
 
-def test_unbounded_status():
-    # min -x subject to -x <= 0 with no upper bound on x
-    problem = LpProblem(f=[-1.0], A=[[-1.0]], b=[0.0],
-                        lb=[0.0], ub=[np.inf])
-    sol = solve_lp(problem)
-    assert sol.status is SolveStatus.UNBOUNDED
-
-
 def test_pure_box_problem_short_circuits():
     problem = LpProblem(f=[1.0, -1.0], A=np.zeros((0, 2)), b=[],
                         lb=[-2.0, -2.0], ub=[3.0, 3.0])
@@ -94,6 +87,12 @@ def test_pure_box_problem_short_circuits():
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(-5.0)
     assert sol.stats.iterations == 0
+    # a zero-cost column with one infinite bound rests on its finite one
+    problem = LpProblem(f=[0.0, 0.0, 1.0], A=np.zeros((0, 3)), b=[],
+                        lb=[-np.inf, 0.0, 0.0], ub=[1.0, np.inf, 2.0])
+    sol = solve_lp(problem)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert np.array_equal(sol.x, [1.0, 0.0, 0.0]) and sol.objective == 0.0
 
 
 def test_solver_is_bitwise_deterministic():
@@ -155,3 +154,53 @@ def test_dump_roundtrip(tmp_path):
     assert np.array_equal(parsed["ub"], problem.ub)
     assert parsed["row_labels"] == problem.row_labels
     assert parsed["col_labels"] == problem.col_labels
+
+
+def _labelled_lp(f, A, lb, ub, b=(0.0, 0.0)):
+    """An LP whose columns are labelled x, t and s in order."""
+    return LpProblem(f=f, A=A, b=b[:len(A)], lb=lb, ub=ub,
+                     col_labels=("x", "t", "s")[:len(f)])
+
+
+#: (kind, LP whose column t is outside the solver's class, reason)
+OUT_OF_CLASS = [
+    # no row bounds t, so tightening leaves both of its bounds far
+    ("both sides", _labelled_lp([0.0, 0.0], [[1.0, 0.0]],
+                                [-1.0, -BIG_BOUND], [1.0, BIG_BOUND]),
+     "both bounds"),
+    ("free", _labelled_lp([0.0, 1.0], [[1.0, 0.0]], [-1.0, -np.inf],
+                          [1.0, np.inf]), "both bounds"),
+    # t tightens the second row as it grows toward its infinite upper
+    # bound, which the elastic s keeps from being tightened
+    ("not elastic", _labelled_lp([0.0, 1.0, 1.0],
+                                 [[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0]],
+                                 [-1.0, 0.0, 0.0], [1.0, np.inf, np.inf],
+                                 b=(0.0, 5.0)), "tightens a row"),
+    # min -t s.t. |x| <= t: t is elastic, but its cost falls as it grows
+    ("cost falls", _labelled_lp([0.0, -1.0], [[1.0, -1.0], [-1.0, -1.0]],
+                                [-1.0, 0.0], [1.0, BIG_BOUND]), "cost falls"),
+]
+
+
+def test_solve_lp_takes_only_boxed_and_elastic_columns(monkeypatch,
+                                                       tmp_path):
+    for kind, problem, why in OUT_OF_CLASS:
+        assert validate_lp(problem) == [], kind
+        with pytest.raises(LpValidationError, match=f"column t .*{why}"):
+            solve_lp(problem)
+    # min t s.t. |x| <= t, with t up to 1e9, is in the class
+    epigraph = _labelled_lp([0.0, 1.0], [[1.0, -1.0], [-1.0, -1.0]],
+                            [-1.0, 0.0], [1.0, BIG_BOUND])
+    assert solve_lp(epigraph).status is SolveStatus.OPTIMAL
+    # every LP the CLI modes build on the bundled day (mc on synthetic
+    # days) passes the check
+    check = lp._class_diagnostic
+    seen = []
+    monkeypatch.setattr(lp, "_class_diagnostic",
+                        lambda *a: seen.append(check(*a)) or seen[-1])
+    for argv in (["storage"], ["flex"], ["sweep", "--fractions", "0.5 1"],
+                 ["xcyc", "--fractions", "0.5 1", "--c-rates", "1"],
+                 ["mc", "--count", "2"]):
+        del seen[:]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert seen and seen == [None] * len(seen), argv

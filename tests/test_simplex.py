@@ -1,8 +1,8 @@
 """Differential tests of the numpy simplex kernel.
 
 The kernel's answers are compared with HiGHS (scipy's ``linprog``) on
-fixed-seed families of storage, flexible-load and random generic LPs:
-statuses must agree and objectives must match to
+fixed-seed families of storage, flexible-load and random boxed LPs, all
+of the kernel's class: statuses must agree and objectives must match to
 ``1e-6 * max(1, |HiGHS|)``, the benchmark gate's rule.
 
 The reduced-basis inverse is also checked directly: after every pivot of
@@ -12,9 +12,10 @@ must be consistent with its own rows, bound flips alone must make the
 storage and flex starts dual-feasible, and a solve from it passed as a
 basis must be the cold solve.  A singular given basis must raise in the
 kernel and cost ``solve_lp`` exactly one cold kernel call more.  The dual
-phase is checked on a bound-flipping step, a start that needs shifted
-costs, and an infeasible LP.  Iteration counts are deterministic, so
-budgets on them catch a slower start path without timing noise.
+phase is checked on a bound-flipping step and an infeasible LP, and the
+final basic values on a long run of updates.  Iteration counts are
+deterministic, so budgets on them catch a slower start path without
+timing noise.
 """
 
 from dataclasses import replace
@@ -34,8 +35,7 @@ RTOL = 1e-6
 BATTERY = StorageParams(b_min=0.2, b_max=1.0, b_0=0.2, delta_min=-0.5,
                         delta_max=0.5, eta_ch=0.95, eta_dis=0.95)
 
-_HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
-                 3: SolveStatus.UNBOUNDED}
+_HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE}
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +106,16 @@ def flex_lps(count=50, seed=12):
                                            0.25)))
 
 
-def random_lp(rng, k):
+def random_lp(rng, k, far=50.0):
     """A dense-ish generic LP; k picks the shape, bounds and right side.
 
-    Odd k has fewer rows than columns, even k more.  Half the LPs give a
-    third of their columns the 1e9 sentinel box, the other half an infinite
-    upper bound (the unbounded cases).  Every third LP draws ``b`` at
-    random, which can be negative (a primal-infeasible start) or
-    infeasible; the others place a known point strictly inside the rows.
+    Odd k has fewer rows than columns, even k more.  A third of the
+    columns are wide: half the LPs box them within +-``far``, the other
+    half keep their lower bound and raise the upper one to ``far``.  Every
+    third LP draws ``b`` at random, which can be negative (a
+    primal-infeasible start) or infeasible; the others place a known point
+    strictly inside the rows.  With the default ``far`` every column is
+    boxed, so the LP is of the kernel's class.
     """
     small, large = sorted(int(v) for v in rng.integers(1, 30, size=2))
     m, n = (small, large) if k % 2 else (large, small)
@@ -122,9 +124,8 @@ def random_lp(rng, k):
     ub = np.round(rng.uniform(0.5, 3.0, n), 2)
     wide = rng.random(n) < 0.3
     if k % 4 < 2:
-        lb[wide], ub[wide] = -BIG_BOUND, BIG_BOUND
-    else:
-        ub[wide] = np.inf
+        lb[wide] = -far
+    ub[wide] = far
     if k % 3:
         x0 = np.clip(rng.normal(size=n), lb, ub)
         b = A @ x0 + rng.exponential(size=m)
@@ -134,10 +135,10 @@ def random_lp(rng, k):
     return LpProblem(f=f, A=A, b=b, lb=lb, ub=ub)
 
 
-def random_lps(count=100, seed=13):
+def random_lps(count=100, seed=13, far=50.0):
     rng = np.random.default_rng(seed)
     for k in range(count):
-        problem = random_lp(rng, k)
+        problem = random_lp(rng, k, far)
         yield f"random #{k} {problem.A.shape}", problem
 
 
@@ -152,19 +153,6 @@ def test_ramp_half_rate_day_2_matches_highs(highs):
     assert sol.status is status is SolveStatus.OPTIMAL
     assert abs(sol.objective - ref) <= RTOL * max(1.0, abs(ref))
     assert ref == pytest.approx(-0.12726, abs=1e-5)
-
-
-def test_sentinel_steps_leave_no_drift_in_basic_values(highs):
-    # Steps of ~1e9 along sentinel-bounded columns left 6e-6 of roundoff in
-    # the updated basic values of this LP, which failed the feasibility
-    # check as a numerical failure; the kernel now recomputes them from
-    # its final basis.
-    _, problem = list(random_lps(count=1434, seed=103))[-1]
-    sol = solve_lp(problem)
-    status, ref = highs(problem)
-    assert sol.status is status is SolveStatus.OPTIMAL
-    assert sol.stats.max_residual <= 1e-9
-    assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_storage_lps_match_highs(highs):
@@ -254,38 +242,47 @@ def test_reduced_basis_inverts_the_basis(shape):
 
 @pytest.mark.parametrize("seed, k", [(44, 13), (103, 145)])
 def test_crash_keeps_elastic_columns_inside_their_far_bound(seed, k, highs):
-    # Neighbours resting at 1e9 sentinels give an elastic column a binding
-    # move of ~1e9 here; taking it would carry the column past its own far
-    # bound, and the kernel would return an infeasible point.
-    case = list(random_lps(count=k + 1, seed=seed))[-1:]
-    assert _mismatches(case, highs) == []
+    # Wide neighbours resting at 5e7 leave a row of this random LP short
+    # by over 1e8; an elastic column t in [0, 1e9] with entry -0.1 in that
+    # row alone would need a move of over 1e9 to claim it, past its far
+    # bound, so the crash must leave t nonbasic.
+    _, p = list(random_lps(count=k + 1, seed=seed, far=5e7))[-1]
+    m, n = p.A.shape
+    rest = np.where(np.abs(p.ub) <= _simplex._HUGE_BND, p.ub, p.lb)
+    col = np.zeros((m, 1))
+    col[np.argmin(p.b - p.A @ rest)] = -0.1
+    problem = LpProblem(f=np.append(p.f, 1.0), A=np.hstack([p.A, col]),
+                        b=p.b, lb=np.append(p.lb, 0.0),
+                        ub=np.append(p.ub, BIG_BOUND))
+    A, b, lo, hi = _kernel_input(problem)
+    row = np.flatnonzero(A[:, n])[0]
+    x = np.where(np.abs(hi) <= _simplex._HUGE_BND, hi, lo)
+    assert lo[n] + (b[row] - A[row] @ x) / A[row, n] > BIG_BOUND
+    basic, at_ub = _simplex._crash(A, b, lo, hi)
+    assert n not in basic and not at_ub[n]
+    assert _mismatches([(f"random #{k} + t", problem)], highs) == []
+
+
+def test_crash_leaves_a_far_moving_elastic_column_nonbasic(highs):
+    # min t - x s.t. x <= t / 100 with x in [-1, 9e7] and t in [0, 1e9].
+    # With x resting at its upper bound, t's binding move is 9e9, past its
+    # far bound; the crash must leave t nonbasic instead of starting from
+    # a point that violates it.
+    problem = LpProblem(f=[-1.0, 1.0], A=[[1.0, -0.01]], b=[0.0],
+                        lb=[-1.0, 0.0], ub=[9e7, BIG_BOUND])
+    A, b, lo, hi = _kernel_input(problem)
+    basic, at_ub = _simplex._crash(A, b, lo, hi)
+    assert list(basic) == [2] and list(at_ub) == [True, False]
+    assert _mismatches([("far move", problem)], highs) == []
 
 
 def test_final_basis_is_refactored_before_the_last_recompute(highs):
-    # 80 iterations of updates to K left this LP 1.68e-6 infeasible against
-    # a tolerance of 1.28e-6, and the retry (a refactor every 96
-    # iterations) never refactored.
-    case = list(random_lps(count=85, seed=42))[-1:]
-    assert case[0][1].A.shape == (26, 25)
+    # After 236 dual iterations of updates to K, the updated basic values
+    # of this ramp LP leave a row 2e-13 violated; solved afresh from the
+    # final A[T, S], they hold it to roundoff.
+    case = list(storage_lps(count=2, seed=21))[-1:]
     assert _mismatches(case, highs) == []
-
-
-#: Two free columns: min x + y s.t. -x - y <= 1, x - y <= 3 has optimum -1.
-FREE = dict(lb=[-np.inf, -np.inf], ub=[np.inf, np.inf])
-FREE_ROWS = dict(A=[[-1.0, -1.0], [1.0, -1.0]], b=[1.0, 3.0], **FREE)
-
-
-def test_free_columns_rest_at_zero(highs):
-    # Resting a free column on an infinite bound turned the residuals into
-    # NaN.
-    cases = [("min x + y", LpProblem(f=[1.0, 1.0], **FREE_ROWS)),
-             ("unbounded", LpProblem(f=[1.0, -1.0], **FREE_ROWS)),
-             ("infeasible", LpProblem(f=[0.0, 0.0],
-                                      A=[[1.0, 1.0], [-1.0, -1.0]],
-                                      b=[-1.0, -2.0], **FREE))]
-    assert _mismatches(cases, highs) == []
-    sol = solve_lp(cases[0][1])
-    assert sol.objective == pytest.approx(-1.0, abs=1e-12)
+    assert solve_lp(case[0][1]).stats.max_residual <= 1e-14
 
 
 def _negated_prices(problem, n):
@@ -339,7 +336,10 @@ def _crash_lps():
     yield from storage_lps(count=6, seed=31)
     yield from flex_lps(count=6, seed=32)
     yield from random_lps(count=24, seed=33)
-    yield "free", LpProblem(f=[1.0, 1.0], **FREE_ROWS)
+    # max s s.t. s <= x, s <= 1 - x: s is elastic toward its lower bound
+    yield "far lower bound", LpProblem(
+        f=[0.0, -1.0], A=[[-1.0, 1.0], [1.0, 1.0]], b=[0.0, 1.0],
+        lb=[-1.0, -np.inf], ub=[1.0, 10.0])
     # two epigraph columns share the last row, which binds both of them
     yield "shared row", LpProblem(
         f=[0.0, 1.0, 1.0],
@@ -365,13 +365,12 @@ def test_crash_start_is_consistent(label, problem):
     xN = np.where(vstat[:n] == _simplex._BASIC, 0.0, x)
     size = np.abs(B) @ np.abs(xB) + np.abs(A) @ np.abs(xN) + np.abs(b)
     assert (np.abs(B @ xB + A @ xN - b) <= 1e-13 * (1.0 + size)).all()
-    # nonbasic columns sit on a bound (free ones at zero), basic ones
-    # within their bounds; each row of T holds with equality, and each
-    # other row's basic slack is its residual, negative where it is violated
+    # nonbasic columns sit on a bound within 1e8, basic ones within their
+    # bounds; each row of T holds with equality, and each other row's basic
+    # slack is its residual, negative where it is violated
     nb = vstat[:n] != _simplex._BASIC
-    free = vstat[:n] == _simplex._FREE
-    assert ((x == lo) | (x == hi) | free)[nb].all()
-    assert (x[free] == 0.0).all()
+    assert ((x == lo) | (x == hi))[nb].all()
+    assert (np.abs(x[nb]) <= _simplex._HUGE_BND).all()
     assert ((lo <= x) & (x <= hi)).all()
     logical = basic >= n
     assert (basic[logical] == n + np.flatnonzero(logical)).all()
@@ -387,10 +386,10 @@ def test_crash_start_is_consistent(label, problem):
 
 
 def _crash_start(problem):
-    """(primal-infeasible, basic, cost, dual cost) of the kernel's crash
-    start: whether the dual phase has rows to repair once ``_dual_costs``
-    has flipped bounds, the basis, and the true and the shifted costs that
-    ``_dual_costs`` hands the dual phase."""
+    """(primal-infeasible, basic, dual-feasible) of the kernel's crash
+    start: whether the dual phase has rows to repair once ``_flip_pass``
+    has flipped bounds, the basis, and whether those flips made it
+    dual-feasible."""
     A, b, lo, hi = _kernel_input(problem)
     m, n = A.shape
     LB = np.concatenate([lo, np.zeros(m)])
@@ -401,27 +400,27 @@ def _crash_start(problem):
     vstat, xval, basic, basis = _simplex._warm_start(
         A, lo, hi, *_simplex._crash(A, b, lo, hi))
     cost = np.concatenate([problem.f, np.zeros(m)])
-    dual_cost = _simplex._dual_costs(A, cost, LB, UB, vstat, xval, basic,
-                                     basis, movable, boxed)
+    dual_feasible = _simplex._flip_pass(A, cost, LB, UB, vstat, xval, basic,
+                                        basis, movable, boxed)
     nb = vstat[:n] != _simplex._BASIC
     xB = basis.solve(b - A[:, nb] @ xval[:n][nb])
     infeasible = (np.maximum(LB[basic] - xB, xB - UB[basic]).max()
                   > _simplex._RELAX)
-    return infeasible, basic, cost, dual_cost
+    return infeasible, basic, dual_feasible
 
 
 def test_flips_alone_make_crash_starts_dual_feasible():
-    # solve_lp's bound tightening boxes every column of the storage and
-    # flex LPs, so moving nonbasic columns to the bounds their reduced
-    # costs ask for makes the crash basis dual-feasible: no cost is
-    # shifted.
+    # Every column of the storage and flex LPs is boxed or elastic once
+    # solve_lp has tightened its bounds, so moving nonbasic columns to the
+    # bounds their reduced costs ask for makes the crash basis
+    # dual-feasible.
     mc = [build_storage_lp(BATTERY, synthetic_day(seed, 96, 0.25),
                            include_ramp_rate=False)
           for seed in range(4)]
     flex = [p for _, p in flex_lps(count=10, seed=34)]
     for problem in mc + flex:
-        _, basic, cost, dual_cost = _crash_start(problem)
-        assert np.array_equal(dual_cost, cost)
+        _, basic, dual_feasible = _crash_start(problem)
+        assert dual_feasible
         # every epigraph column starts basic
         n = problem.n_cols
         assert (basic < n).sum() == n // 2
@@ -449,7 +448,7 @@ def test_crash_basis_passed_as_a_basis_is_the_cold_solve():
         assert warm.status is cold.status
         assert warm.stats.iterations == cold.stats.iterations
         assert np.array_equal(warm.x, cold.x, equal_nan=True)
-    assert len(statuses) == 3  # optimal, infeasible and unbounded
+    assert len(statuses) == 2  # optimal and infeasible
 
 
 def test_iteration_budgets_of_the_crash_start():
@@ -480,28 +479,15 @@ def test_one_dual_iteration_flips_several_boxed_columns():
     assert np.array_equal(sol.x, [1.0, 1.0, 0.5, 0.0, 0.0])
 
 
-def test_shifted_costs_reach_the_optimum_of_the_true_costs(highs):
-    # random_lps(200, 13) #10: the crash start is primal-infeasible, and
-    # two nonbasic variables stay dual-infeasible after the flips, so the
-    # dual phase runs with shifted costs; phase 2 restores the true ones.
-    label, problem = list(random_lps(count=11, seed=13))[-1]
-    infeasible, _, cost, dual_cost = _crash_start(problem)
-    assert infeasible and (dual_cost != cost).sum() == 2
-    sol = solve_lp(problem)
-    status, ref = highs(problem)
-    assert sol.status is status is SolveStatus.OPTIMAL
-    assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
-
-
 def test_dual_phase_reports_an_infeasible_lp():
-    # random_lps(200, 13) #36 is infeasible, and its crash start needs both
-    # the dual phase and a cost shift; the infeasibility stands whatever
-    # the costs.
+    # random_lps(200, 13) #36 is infeasible; its crash start is
+    # dual-feasible after the flips and primal-infeasible, and the dual
+    # phase finds a row no candidate can repair.
     label, problem = list(random_lps(count=37, seed=13))[-1]
-    infeasible, _, cost, dual_cost = _crash_start(problem)
-    assert infeasible and not np.array_equal(dual_cost, cost)
+    infeasible, _, dual_feasible = _crash_start(problem)
+    assert infeasible and dual_feasible
     status, x, iters, basis = _run_kernel(problem)
-    assert status is SolveStatus.INFEASIBLE
+    assert status is SolveStatus.INFEASIBLE and iters > 0
     assert solve_lp(problem).status is SolveStatus.INFEASIBLE
 
 
@@ -539,7 +525,7 @@ def _tighten_bounds_dense(A, b, lb, ub):
 def test_tighten_bounds_matches_dense_reference():
     problems = (list(storage_lps(count=60, seed=41))
                 + list(flex_lps(count=40, seed=42))
-                + list(random_lps(count=200, seed=43)))
+                + list(random_lps(count=200, seed=43, far=np.inf)))
     for label, p in problems:
         got = lp._tighten_bounds(p.A, p.b, p.lb, p.ub)
         want = _tighten_bounds_dense(p.A, p.b, p.lb, p.ub)
@@ -636,6 +622,21 @@ def test_warm_start_from_another_lp_matches_highs(highs):
         status, ref = highs(target)
         assert sol.status is status is SolveStatus.OPTIMAL
         assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_dual_infeasible_warm_basis_is_solved_cold():
+    # another day's costs leave a slack dual-infeasible in the donor's
+    # optimal basis, which no bound flip repairs: the kernel stops before
+    # any iteration, and solve_lp re-solves from the crash basis
+    basis = solve_lp(_ramp_lp(day=5)).basis
+    target = _ramp_lp(day=6)
+    status, x, iters, out = _run_kernel(target, basis=basis)
+    assert status is SolveStatus.NUMERICAL_FAILURE and iters == 0
+    warm = solve_lp(target, basis=basis)
+    cold = solve_lp(target)
+    assert warm.status is SolveStatus.OPTIMAL and not warm.stats.warm_start
+    assert warm.stats.iterations == cold.stats.iterations
+    assert np.array_equal(warm.x, cold.x)
 
 
 def test_warm_start_of_an_infeasible_lp_reports_the_cold_status(
