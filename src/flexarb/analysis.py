@@ -92,11 +92,15 @@ def solve_storage_day(params: StorageParams, prices: PriceSignal,
     problem = build_storage_lp(params, prices, include_ramp_rate)
     if basis is not None or not include_ramp_rate:
         return solve_lp(problem, basis=basis)
-    relaxed = solve_lp(build_storage_lp(params, prices,
-                                        include_ramp_rate=False))
+    ramp_free = build_storage_lp(params, prices, include_ramp_rate=False)
+    relaxed = solve_lp(ramp_free)
     if relaxed.status is SolveStatus.OPTIMAL:
+        # the basis is in the layout of the LP the solver reduced (see
+        # solve_lp), where the ramp rows are still the last rows
         basic, at_ub = relaxed.basis
-        ramp_slacks = problem.n_cols + np.arange(basic.size, problem.n_rows)
+        ramp_rows = problem.n_rows - ramp_free.n_rows
+        ramp_slacks = at_ub.size + np.arange(basic.size,
+                                             basic.size + ramp_rows)
         basis = (np.concatenate([basic, ramp_slacks]), at_ub)
     sol = solve_lp(problem, basis=basis)
     stats = replace(

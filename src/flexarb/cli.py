@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import re
 import sys
@@ -592,9 +593,8 @@ def _cmd_validate(args, cfg, run) -> int:
         "n_steps": len(prices),
         "h": prices.h,
     }
-    if cfg.has_section("storage") or args.which == "validate":
-        params = _resolve_storage(args, cfg, prices.h)
-        report["storage"] = _params_dict(params)
+    params = _resolve_storage(args, cfg, prices.h)
+    report["storage"] = _params_dict(params)
     if cfg.has_section("flex"):
         params = _resolve_flex(args, cfg, prices.h, len(prices))
         report["flex"] = _params_dict(params)
@@ -607,7 +607,8 @@ def _cmd_validate(args, cfg, run) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _shared_flags() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--prices", help="price CSV/JSON path, or 'sample' for "
                    "the bundled day (default)")
     p.add_argument("--h", type=float, help="sampling period in hours "
@@ -618,9 +619,11 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
                    help="data artifact format (default both)")
     p.add_argument("--seed", type=_parse_seed,
                    help="u64 seed for randomized modes (default 0)")
+    return p
 
 
-def _add_storage_params(p: argparse.ArgumentParser) -> None:
+def _storage_flags() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("storage parameters")
     g.add_argument("--b-min", dest="b_min", type=float, help="kWh")
     g.add_argument("--b-max", dest="b_max", type=float, help="kWh")
@@ -638,6 +641,7 @@ def _add_storage_params(p: argparse.ArgumentParser) -> None:
                    help="ramp rate upper bound, kWh per step")
     g.add_argument("--tau-fraction", dest="tau_fraction", type=float,
                    help="set tau to this fraction of the swing limits")
+    return p
 
 
 class _Parser(argparse.ArgumentParser):
@@ -656,14 +660,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="which", required=True)
+    shared = [_shared_flags()]
+    storage = shared + [_storage_flags()]
 
-    p = sub.add_parser("storage", help="solve one battery arbitrage day")
-    _add_shared(p)
-    _add_storage_params(p)
+    p = sub.add_parser("storage", parents=storage,
+                       help="solve one battery arbitrage day")
     p.set_defaults(func=_cmd_storage)
 
-    p = sub.add_parser("flex", help="solve one flexible-load day")
-    _add_shared(p)
+    p = sub.add_parser("flex", parents=shared,
+                       help="solve one flexible-load day")
     g = p.add_argument_group("flexible-load parameters")
     g.add_argument("--t-a", dest="t_a", type=int,
                    help="arrival step, 1-based")
@@ -682,42 +687,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deadline band half-width, kWh")
     p.set_defaults(func=_cmd_flex)
 
-    p = sub.add_parser("sweep", help="ramp-rate fraction sweep")
-    _add_shared(p)
-    _add_storage_params(p)
+    p = sub.add_parser("sweep", parents=storage,
+                       help="ramp-rate fraction sweep")
     p.add_argument("--fractions", help="list like '0.05 0.1 ... 1.0'")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("xcyc", help="sweep across c-rates")
-    _add_shared(p)
-    _add_storage_params(p)
+    p = sub.add_parser("xcyc", parents=storage, help="sweep across c-rates")
     p.add_argument("--fractions", help="list like '0.05 0.1 ... 1.0'")
     p.add_argument("--c-rates", dest="c_rates",
                    help="list like '0.5 1 2' (rating c: full charge in "
                    "1/c hours)")
     p.set_defaults(func=_cmd_xcyc)
 
-    p = sub.add_parser("mc", help="Monte Carlo benchmark on synthetic days")
-    _add_shared(p)
-    _add_storage_params(p)
+    p = sub.add_parser("mc", parents=storage,
+                       help="Monte Carlo benchmark on synthetic days")
     p.add_argument("--count", type=int, help="number of scenarios "
                    "(default 1000)")
     p.add_argument("--steps", type=int, help="steps per synthetic day "
                    "(default 96)")
     p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("validate",
+    p = sub.add_parser("validate", parents=storage,
                        help="validate config and inputs, solve nothing")
-    _add_shared(p)
-    _add_storage_params(p)
     p.set_defaults(func=_cmd_validate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call;
+    parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         run = _resolve_run(args, cfg)

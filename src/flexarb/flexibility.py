@@ -15,6 +15,13 @@ difference-matrix rows bounding the step-to-step change of y.  The window
 entry row bounds y at the arrival step against the power limits (the device
 ramps from disconnected, reference 0); the drop to zero at departure is
 deliberately unconstrained, a disconnection is instantaneous.
+
+``build_flex_lp`` keeps this, the paper's layout, for ``dump_lp``, the
+goldens and outside solvers.  The solver sees the window LP: since
+y >= 0, ``solve_lp``'s presolve drops the y pinned outside the window,
+folds each t_i into the cost h * max(p_buy, p_sell) of its y_i, and
+drops the segment rows, leaving the window's columns, the deadline rows
+and the ramp rows.
 """
 
 from __future__ import annotations
@@ -267,12 +274,9 @@ def extract_flex_schedule(solution: LpSolution, params: FlexParams,
         raise ValueError(
             f"cannot extract a schedule from a {solution.status.value} "
             "solution")
-    n = len(prices)
-    y = np.array(solution.x[:n], dtype=float)
-    outside = np.ones(n, dtype=bool)
-    outside[params.window] = False
-    y[outside] = 0.0  # bounds force zero there; snap away solver dust
-    return _as_schedule(y, params, prices)
+    # y outside the window is exactly 0: the presolve of solve_lp drops
+    # those fixed columns and puts back their bound
+    return _as_schedule(solution.x[:len(prices)], params, prices)
 
 
 def check_flex_schedule(schedule: FlexSchedule, params: FlexParams,

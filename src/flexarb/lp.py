@@ -6,10 +6,15 @@ The canonical form used throughout the package is
     subject to  A x <= b
                 lb <= x <= ub
 
-``solve_lp`` checks that the LP is of the solver's class, row-equilibrates
-A, solves it with the bounded dual simplex of :mod:`flexarb._simplex`, and
-verifies the returned point against the original (unscaled) data before
-reporting it as optimal.
+``solve_lp`` presolves the LP (``_presolve`` drops fixed columns and
+epigraph columns whose cost is a multiple of one other column), checks
+that what is left is of the solver's class, row-equilibrates it, and
+solves it with the bounded dual simplex of :mod:`flexarb._simplex`.  The
+point is mapped back to the LP that was passed and verified against its
+original (unscaled) data before it is reported as optimal.  The builders
+keep the paper's layouts; a flex LP reaches the kernel as its window
+alone, and the storage LPs of a battery that can both charge and
+discharge reach it unchanged.
 """
 
 from __future__ import annotations
@@ -165,6 +170,133 @@ def validate_lp(problem: LpProblem) -> list:
     return diags
 
 
+@dataclass(frozen=True)
+class _ReducedLp(LpProblem):
+    """An LP that ``_presolve`` made smaller, with what ``postsolve`` needs
+    to map its points back to the LP it came from.
+
+    ``x_fixed`` is a point of the original LP's length holding the fixed
+    columns' values; ``keep`` lists the original columns this LP keeps, in
+    order.  Each dropped epigraph column ``t[k]`` equals
+    ``slope[k] * x[partner[k]]``, or 0 where ``partner[k]`` is -1.
+    """
+
+    x_fixed: np.ndarray = None
+    keep: np.ndarray = None
+    t: np.ndarray = None
+    partner: np.ndarray = None
+    slope: np.ndarray = None
+
+    def postsolve(self, x: np.ndarray) -> np.ndarray:
+        """The original LP's point of this LP's point x."""
+        full = self.x_fixed.copy()
+        full[self.keep] = x
+        # adding 0.0 turns a -0.0 of a zero slope into 0.0
+        full[self.t] = np.where(self.partner >= 0,
+                                self.slope * full[self.partner], 0.0) + 0.0
+        return full
+
+
+def _presolve(problem: LpProblem) -> LpProblem:
+    """The LP with its fixed and epigraph columns taken out, or
+    ``problem`` itself when there are none.
+
+    1. A fixed column (lb == ub) moves its value into b and is dropped.
+    2. An epigraph column t is dropped with its rows when both its bounds
+       lie beyond 1e8 (below -1e8 and above 1e8), its cost is positive,
+       every nonzero of t is negative, and each row of t has b = 0 after
+       rule 1 and at most one other nonzero, all of them in one column x
+       that is boxed on one side of 0.  Then t = s * x at every optimum
+       (Bertsimas and Tsitsiklis 1997, sec. 1.3), with s the largest of
+       a_kx / -a_kt over t's rows when lb_x >= 0 and the smallest when
+       ub_x <= 0, a row without x counting as 0.  The rule needs
+       |s| * max(|lb_x|, |ub_x|) <= 1e8, so that s * x stays inside t's
+       bounds, and adds f_t * s to x's cost.
+
+    Both rules are vectorised; the per-row counts and the single column
+    of a row with one nonzero of a kind come from one product of A's
+    nonzero pattern.  The result is a ``_ReducedLp`` that keeps the
+    original row and column labels of what it keeps.
+    """
+    f, A, b, lb, ub = problem.f, problem.A, problem.b, problem.lb, problem.ub
+    n = A.shape[1]
+    huge = _simplex._HUGE_BND
+    fixed = lb == ub
+    cand = (lb < -huge) & (ub > huge) & (f > 0.0)
+    has_fixed = bool(fixed.any())
+    if not (has_fixed or cand.any()):
+        return problem
+    if has_fixed:
+        b = b - A[:, fixed] @ lb[fixed]
+    # only rows with b = 0 may hold a candidate t's nonzeros
+    nonzero = A != 0.0
+    zero_b = b == 0.0
+    cand &= ~nonzero[~zero_b].any(axis=0)
+    # per row with b = 0: nonzeros among the candidates and among the other
+    # live columns, and the column of each kind where there is exactly one
+    rows = np.flatnonzero(zero_b)
+    kinds = np.empty((n, 4))
+    kinds[:, 0] = cand
+    kinds[:, 1] = ~(fixed | cand)
+    kinds[:, 2:] = kinds[:, :2] * np.arange(n)[:, None]
+    n_t, n_o, t_of, x_of = (nonzero[rows].astype(float) @ kinds).T
+    t_of = np.where(n_t == 1.0, t_of, 0.0).astype(np.int64)
+    x_of = np.where(n_o == 1.0, x_of, -1.0).astype(np.int64)
+    # a row fits when it holds one candidate, with a negative entry, and
+    # no other live column or one boxed on one side of 0
+    lbx, ubx = lb[x_of], ub[x_of]
+    fits = ((n_t == 1.0) & (n_o <= 1.0) & (A[rows, t_of] < 0.0)
+            & ((x_of < 0) | (((lbx >= 0.0) | (ubx <= 0.0))
+                             & (np.abs(lbx) <= huge) & (np.abs(ubx) <= huge))))
+    # a candidate goes when it has a row and every row of it fits
+    ok = np.zeros(n, bool)
+    ok[t_of[fits]] = True
+    ok &= cand
+    if ok.any():
+        ok &= ~nonzero[rows[~fits]].any(axis=0)
+    if not (has_fixed or ok.any()):
+        return problem
+    g = np.flatnonzero(fits & ok[t_of])
+    tg, xg, g = t_of[g], x_of[g], rows[g]
+    # ... and its rows have one partner x between them, or none (-1)
+    partner = np.full(n, -1)
+    np.maximum.at(partner, tg, xg)
+    first = np.full(n, n)
+    np.minimum.at(first, tg, np.where(xg >= 0, xg, n))
+    ok &= (partner < 0) | (first == partner)
+    # the slope over t's rows, a row without x counting as 0
+    ratio = np.where(xg >= 0, A[g, xg], 0.0) / -A[g, tg]
+    s_hi = np.zeros(n)
+    s_lo = np.zeros(n)
+    s_hi[tg] = -np.inf
+    s_lo[tg] = np.inf
+    np.maximum.at(s_hi, tg, ratio)
+    np.minimum.at(s_lo, tg, ratio)
+    lbx, ubx = lb[partner], ub[partner]
+    slope = np.where(lbx >= 0.0, s_hi, s_lo)
+    reach = np.where(partner >= 0, np.maximum(np.abs(lbx), np.abs(ubx)), 0.0)
+    ok &= np.abs(slope) * reach <= huge
+    if not (has_fixed or ok.any()):
+        return problem
+
+    t = np.flatnonzero(ok)
+    f = f.copy()
+    folded = t[partner[t] >= 0]
+    np.add.at(f, partner[folded], f[folded] * slope[folded])
+    keep = np.flatnonzero(~(fixed | ok))
+    keep_rows = np.ones(A.shape[0], bool)
+    keep_rows[g[ok[tg]]] = False
+    keep_rows = np.flatnonzero(keep_rows)
+    pick = lambda labels, idx: (None if labels is None
+                                else [labels[i] for i in idx])
+    return _ReducedLp(
+        f[keep], A[np.ix_(keep_rows, keep)], b[keep_rows], lb[keep],
+        ub[keep], pick(problem.row_labels, keep_rows),
+        pick(problem.col_labels, keep),
+        x_fixed=np.where(fixed, lb, 0.0), keep=keep, t=t,
+        partner=partner[t], slope=slope[t])
+
+
 _IMPLIED_GATE = 1e8  # only bounds beyond this magnitude get tightened
 
 
@@ -247,85 +379,101 @@ def _class_diagnostic(problem: LpProblem, lo, hi):
 def solve_lp(problem: LpProblem, basis: tuple = None) -> LpSolution:
     """Solve the LP, returning an LpSolution with verified status.
 
-    The LP must be of the kernel's class once its sentinel bounds are
-    tightened: every column boxed within 1e8, or elastic, with one bound
-    beyond 1e8 toward which it relaxes each of its rows and never lowers
-    the cost (see ``_simplex``).  Such an LP is bounded, so the status is
-    OPTIMAL, INFEASIBLE or NUMERICAL_FAILURE.  Any other LP, like one that
-    fails ``validate_lp``, raises LpValidationError, naming the column.
+    The kernel solves the LP that ``_presolve`` leaves, the LP itself
+    when no presolve rule applies.  The solution's ``x`` and
+    ``objective`` are those of the LP passed: the kernel's point is
+    mapped back before the feasibility check.  The presolved LP must be
+    of the kernel's class once its sentinel bounds are tightened: every
+    column boxed within 1e8, or elastic, with one bound beyond 1e8 toward
+    which it relaxes each of its rows and never lowers the cost (see
+    ``_simplex``).  Such an LP is bounded, so the status is OPTIMAL,
+    INFEASIBLE or NUMERICAL_FAILURE.  Any other LP, like one that fails
+    ``validate_lp``, raises LpValidationError, naming the column.
 
     ``basis``, such as the ``basis`` of a solve of an LP of the same
-    shape, is where the simplex starts (see ``_simplex.simplex_numpy``);
-    one of the wrong shape raises ValueError.  Without one the simplex
+    shape, is where the simplex starts (see ``_simplex.simplex_numpy``).
+    Like ``LpSolution.basis`` it is in the presolved LP's layout, and one
+    of the wrong shape raises ValueError.  Without one the simplex
     starts from the crash basis.  A warm attempt's INFEASIBLE verdict
     stands: the dual phase proves it whatever the start.  A singular
     basis, a numerical failure (a basis that bound flips cannot make
     dual-feasible among them), or an optimum that fails the feasibility
     check is solved once more from the crash basis, and that result is
-    reported.  An LP with no rows is answered without the simplex.
+    reported.  A presolved LP with no rows or no columns left is
+    answered without the simplex.
     """
     diags = validate_lp(problem)
     if diags:
         raise LpValidationError(diags)
-    if basis is not None:
-        basis = _simplex.check_basis(basis, *problem.A.shape)
-
     t0 = time.perf_counter()
-    f = problem.f
-    A = problem.A
-    b = problem.b
-    lb = problem.lb
-    ub = problem.ub
+    kernel_lp = _presolve(problem)
+    if basis is not None:
+        basis = _simplex.check_basis(basis, *kernel_lp.A.shape)
+
+    f = kernel_lp.f
+    A = kernel_lp.A
+    b = kernel_lp.b
+    lb = kernel_lp.lb
+    ub = kernel_lp.ub
     m, n = A.shape
     # row equilibration: scale every row of [A | b] so max |A_ij| is one
     scale = _row_scale(A)
     As = A / scale[:, None]
     bs = b / scale
     lbt, ubt = _tighten_bounds(A, b, lb, ub)
-    diag = _class_diagnostic(problem, lbt, ubt)
+    diag = _class_diagnostic(kernel_lp, lbt, ubt)
     if diag is not None:
         raise LpValidationError([diag])
 
-    if m == 0:
-        # pure box problem: each variable sits at its cheaper bound, and an
-        # elastic one at the bound within 1e8
-        x = np.where((f >= 0.0) & (np.abs(lb) <= _simplex._HUGE_BND), lb, ub)
-        stats = SolveStats(0, time.perf_counter() - t0, 0.0)
-        return LpSolution(x, float(f @ x), SolveStatus.OPTIMAL, stats)
-
-    max_iter = 2000 + 60 * (m + n)
-    tol = FEASIBILITY_TOL * max(1.0, np.abs(b).max())
-
-    def attempt(start):
-        """(status, x, iterations, basis out, residual) of one kernel call
-        from ``start``; an optimum that fails the feasibility check becomes
-        a numerical failure."""
-        status, x, it, out = _simplex.simplex_numpy(
-            As, bs, f, lbt, ubt, max_iter, basis=start)
-        resid = float("nan")
-        if status is SolveStatus.OPTIMAL:
-            resid = _max_violation(problem, x, scale)
-            if resid > tol:
-                status = SolveStatus.NUMERICAL_FAILURE
-        return status, x, it, out, resid
-
+    # points are checked and priced in the LP that was passed
+    reduced = kernel_lp is not problem
+    if reduced:
+        scale = _row_scale(problem.A)
+    tol = FEASIBILITY_TOL * max(1.0, np.abs(problem.b).max(initial=0.0))
     iters = 0
     warm = basis is not None
-    status = SolveStatus.NUMERICAL_FAILURE
-    if warm:
-        try:
-            status, x, iters, out, resid = attempt(basis)
-        except np.linalg.LinAlgError:
-            pass  # a singular basis
-    if status is SolveStatus.NUMERICAL_FAILURE:
+    if m == 0 or n == 0:
+        # no rows, or no columns left: each variable sits at its cheaper
+        # bound, and an elastic one at the bound within 1e8
         warm = False
-        status, x, it, out, resid = attempt(None)
-        iters += it
+        xk = np.where((f >= 0.0) & (np.abs(lb) <= _simplex._HUGE_BND), lb, ub)
+        x = kernel_lp.postsolve(xk) if reduced else xk
+        resid = _max_violation(problem, x, scale)
+        status = (SolveStatus.OPTIMAL if resid <= tol
+                  else SolveStatus.INFEASIBLE)
+        out = (n + np.arange(m), xk == ub)
+    else:
+        max_iter = 2000 + 60 * (m + n)
+
+        def attempt(start):
+            """(status, x, iterations, basis out, residual) of one kernel
+            call from ``start``; an optimum that fails the feasibility
+            check becomes a numerical failure."""
+            status, xk, it, out = _simplex.simplex_numpy(
+                As, bs, f, lbt, ubt, max_iter, basis=start)
+            x = kernel_lp.postsolve(xk) if reduced else xk
+            resid = float("nan")
+            if status is SolveStatus.OPTIMAL:
+                resid = _max_violation(problem, x, scale)
+                if resid > tol:
+                    status = SolveStatus.NUMERICAL_FAILURE
+            return status, x, it, out, resid
+
+        status = SolveStatus.NUMERICAL_FAILURE
+        if warm:
+            try:
+                status, x, iters, out, resid = attempt(basis)
+            except np.linalg.LinAlgError:
+                pass  # a singular basis
+        if status is SolveStatus.NUMERICAL_FAILURE:
+            warm = False
+            status, x, it, out, resid = attempt(None)
+            iters += it
 
     if status is SolveStatus.OPTIMAL:
-        obj = float(f @ x)
+        obj = float(problem.f @ x)
     else:
-        x = np.full(n, np.nan)
+        x = np.full(problem.n_cols, np.nan)
         obj = float("nan")
         resid = float("nan")
         out = None
@@ -335,7 +483,7 @@ def solve_lp(problem: LpProblem, basis: tuple = None) -> LpSolution:
 
 def _row_scale(A: np.ndarray) -> np.ndarray:
     """Largest |A_ij| of each row, with 1 for an all-zero row."""
-    scale = np.abs(A).max(axis=1)
+    scale = np.abs(A).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0
     return scale
 

@@ -1,5 +1,6 @@
 """Command-line interface tests: artifacts, config handling, exit codes."""
 
+import argparse
 import csv
 import json
 import os
@@ -408,12 +409,95 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "infeasible" in err["message"]
 
 
+def _one_line_io_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)["error"]
+    assert doc["code"] == 4 and doc["kind"] == "io"
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
+    # an --out below a regular file fails in _ensure_run_dir
     blocker = tmp_path / "blocked"
     blocker.write_text("a file where a directory is needed\n")
     rc = cli.main(["storage", "--out", str(blocker / "deeper")])
     assert rc == 4
-    assert _stderr_error(capsys)["kind"] == "io"
+    _one_line_io_error(capsys)
+
+
+def test_a_directory_in_place_of_summary_json_exits_4(tmp_path, capsys):
+    # the run directory exists, so the write fails in main's OSError branch
+    (tmp_path / "flex" / "summary.json").mkdir(parents=True)
+    rc = cli.main(["flex", "--out", str(tmp_path)])
+    assert rc == 4
+    _one_line_io_error(capsys)
+
+
+#: Every subcommand's option strings and their dests, before the shared
+#: and storage flags moved into parent parsers.
+_SHARED = {"--prices": "prices", "--h": "h", "--config": "config",
+           "--out": "out", "--format": "format", "--seed": "seed"}
+_STORAGE = {"--b-min": "b_min", "--b-max": "b_max", "--b0": "b_0",
+            "--delta-min": "delta_min", "--delta-max": "delta_max",
+            "--eta-ch": "eta_ch", "--eta-dis": "eta_dis",
+            "--eta-conv": "eta_conv", "--tau-min": "tau_min",
+            "--tau-max": "tau_max", "--tau-fraction": "tau_fraction"}
+_OPTIONS = {
+    "storage": {**_SHARED, **_STORAGE},
+    "flex": {**_SHARED, "--t-a": "t_a", "--t-d": "t_d", "--k": "k",
+             "--y-max": "y_max", "--y-min": "y_min", "--xi-min": "xi_min",
+             "--xi-max": "xi_max", "--xi-fraction": "xi_fraction",
+             "--epsilon": "epsilon"},
+    "sweep": {**_SHARED, **_STORAGE, "--fractions": "fractions"},
+    "xcyc": {**_SHARED, **_STORAGE, "--fractions": "fractions",
+             "--c-rates": "c_rates"},
+    "mc": {**_SHARED, **_STORAGE, "--count": "count", "--steps": "steps"},
+    "validate": {**_SHARED, **_STORAGE},
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_OPTIONS)
+    for name, sp in sub.choices.items():
+        got = [(a.option_strings, a.dest) for a in sp._actions]
+        want = ([(["-h", "--help"], "help")]
+                + [([opt], dest) for opt, dest in _OPTIONS[name].items()])
+        assert got == want, name
+
+
+def _artifacts(run_dir):
+    """Every file of a run, summary.json without its wall time."""
+    out = {}
+    for path in sorted(run_dir.iterdir()):
+        if path.name == "summary.json":
+            doc = _summary(run_dir)
+            doc.pop("wall_time_s")
+            out[path.name] = doc
+        else:
+            out[path.name] = path.read_bytes()
+    return out
+
+
+def test_one_parser_serves_many_calls(tmp_path):
+    # the parser is built once per process; a flag of one call must not
+    # leak into the next
+    runs = (["flex", "--k", "5"], ["flex"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    for k, argv in enumerate(runs):
+        assert cli.main(argv + ["--out", str(tmp_path / f"in{k}")]) == 0
+        subprocess.run([sys.executable, "-m", "flexarb.cli", *argv, "--out",
+                        str(tmp_path / f"fresh{k}")], check=True, env=env,
+                       capture_output=True)
+    for k in range(len(runs)):
+        assert (_artifacts(tmp_path / f"in{k}" / "flex")
+                == _artifacts(tmp_path / f"fresh{k}" / "flex"))
+    assert (_summary(tmp_path / "in0" / "flex")["params"]["k"],
+            _summary(tmp_path / "in1" / "flex")["params"]["k"]) == (5.0, 25.0)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
