@@ -33,6 +33,7 @@ def _summary(run_dir):
 
 def _stderr_error(capsys):
     err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one JSON line
     return json.loads(err)["error"]
 
 
@@ -409,10 +410,8 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "infeasible" in err["message"]
 
 
-def _one_line_io_error(capsys):
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    doc = json.loads(err)["error"]
+def _io_error(capsys):
+    doc = _stderr_error(capsys)
     assert doc["code"] == 4 and doc["kind"] == "io"
 
 
@@ -422,7 +421,7 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     blocker.write_text("a file where a directory is needed\n")
     rc = cli.main(["storage", "--out", str(blocker / "deeper")])
     assert rc == 4
-    _one_line_io_error(capsys)
+    _io_error(capsys)
 
 
 def test_a_directory_in_place_of_summary_json_exits_4(tmp_path, capsys):
@@ -430,7 +429,7 @@ def test_a_directory_in_place_of_summary_json_exits_4(tmp_path, capsys):
     (tmp_path / "flex" / "summary.json").mkdir(parents=True)
     rc = cli.main(["flex", "--out", str(tmp_path)])
     assert rc == 4
-    _one_line_io_error(capsys)
+    _io_error(capsys)
 
 
 #: Every subcommand's option strings and their dests, before the shared
@@ -503,13 +502,8 @@ def test_one_parser_serves_many_calls(tmp_path):
 def test_repeat_runs_are_byte_identical(tmp_path):
     for name in ("one", "two"):
         assert cli.main(["storage", "--out", str(tmp_path / name)]) == 0
-    one = tmp_path / "one" / "storage"
-    two = tmp_path / "two" / "storage"
-    for name in ("schedule.csv", "schedule.json"):
-        assert (one / name).read_bytes() == (two / name).read_bytes()
-    s1, s2 = _summary(one), _summary(two)
-    s1.pop("wall_time_s"), s2.pop("wall_time_s")
-    assert s1 == s2
+    assert (_artifacts(tmp_path / "one" / "storage")
+            == _artifacts(tmp_path / "two" / "storage"))
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
